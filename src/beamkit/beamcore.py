@@ -122,8 +122,12 @@ class _CauchyIndex(DispersionModel):
         return n
 
 
+# Shared default medium, so evaluators build no model object per call.
+_VACUUM = _Vacuum()
+
+
 def vacuum() -> DispersionModel:
-    return _Vacuum()
+    return _VACUUM
 
 
 def constant(n0: float) -> DispersionModel:
@@ -146,16 +150,19 @@ def to_spherical(p: FieldPoint) -> SphericalView:
     return SphericalView(r=r, cos_eta=p.z / r, cos_gamma=p.t / r)
 
 
-def eval_direct(b: BeamParams, p: FieldPoint) -> complex:
-    """Direct (closed-form) beam field at one point; |result| <= 1."""
-    phase = b.omega * b.cos_theta * p.z - b.omega * p.t
-    return complex(np.exp(1j * phase) * bessel_j0(b.omega * b.sin_theta * p.rho))
+def eval_direct(b: BeamParams, p: FieldPoint, *,
+                medium: DispersionModel = _VACUUM) -> complex:
+    """Direct (closed-form) beam field at one point; |result| <= 1.
+
+    In a medium the spatial wave numbers scale by n(omega) and the time
+    factor keeps the bare omega; vacuum (n = 1) is exact.
+    """
+    om_eff = medium.evaluate(b.omega) * b.omega
+    phase = om_eff * b.cos_theta * p.z - b.omega * p.t
+    return complex(np.exp(1j * phase) * bessel_j0(om_eff * b.sin_theta * p.rho))
 
 
 def eval_direct_dispersive(b: BeamParams, m: DispersionModel,
                            p: FieldPoint) -> complex:
-    """Direct field with refractive index: spatial wave numbers scale by
-    n(omega), the time factor keeps the bare omega."""
-    om_eff = m.evaluate(b.omega) * b.omega
-    phase = om_eff * b.cos_theta * p.z - b.omega * p.t
-    return complex(np.exp(1j * phase) * bessel_j0(om_eff * b.sin_theta * p.rho))
+    """``eval_direct`` in medium ``m``."""
+    return eval_direct(b, p, medium=m)

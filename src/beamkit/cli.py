@@ -12,8 +12,13 @@ Subcommands:
 Exit codes: 0 success, 1 verification failure, 2 usage or domain error,
 3 numerical non-convergence.  Floats are printed with repr, so every
 number round-trips exactly; CSV field maps carry the fixed header
-``z,rho,t,re,im,abs`` in z-major, then rho, order.  BEAMKIT_THREADS caps
-grid parallelism; row order never depends on it.
+``z,rho,t,re,im,abs`` in z-major, then rho, order.  BEAMKIT_THREADS is
+still validated (a value that is not a positive integer exits 2), but
+``map`` evaluates its grid serially: every route holds the interpreter
+lock, and on the README grid with 2 vCPUs a 2-thread pool made the direct
+and series maps slower (serial vs pooled: direct 3.1 vs 4.2 s, series
+1.0-1.5 vs 2.1-2.2 s) and left the integral map within noise (11-12 s
+either way).
 """
 from __future__ import annotations
 
@@ -22,16 +27,15 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .beamcore import (BeamParams, FieldPoint, cauchy, constant, eval_direct,
-                       eval_direct_dispersive, vacuum)
+                       vacuum)
 from .identities import SUITE_NAMES, run_suite
-from .integralrep import eval_integral_rep, eval_integral_rep_dispersive
-from .pwseries import eval_series, eval_series_dispersive
+from .integralrep import eval_integral_rep
+from .pwseries import eval_series
 from .wavepacket import (ConeAngles, triple_legendre_sum,
                          triple_sum_closed_form, xwave_closed_form)
 
@@ -92,7 +96,7 @@ def _dispersion_from_args(args):
         if args.n0 is not None or args.cauchy_a is not None:
             raise ValueError(
                 "--n0/--cauchy-a only apply with --dispersion constant/cauchy")
-        return None
+        return vacuum()
     if kind == "constant":
         if args.n0 is None:
             raise ValueError("--dispersion constant requires --n0")
@@ -102,23 +106,16 @@ def _dispersion_from_args(args):
     return cauchy(args.cauchy_a, args.cauchy_b)
 
 
-def _evaluate_point(rep: str, beam: BeamParams, p: FieldPoint, model=None):
+def _evaluate_point(rep: str, beam: BeamParams, p: FieldPoint,
+                    model=vacuum()):
     """One field value; returns (value, extras, converged)."""
     if rep == "direct":
-        if model is None:
-            return eval_direct(beam, p), {}, True
-        return eval_direct_dispersive(beam, model, p), {}, True
+        return eval_direct(beam, p, medium=model), {}, True
     if rep == "series":
-        if model is None:
-            res = eval_series(beam, p)
-        else:
-            res = eval_series_dispersive(beam, model, p)
+        res = eval_series(beam, p, medium=model)
         extras = {"n_terms": res.n_terms, "tail": res.tail_estimate}
         return res.value, extras, res.converged
-    if model is None:
-        q = eval_integral_rep(beam, p)
-    else:
-        q = eval_integral_rep_dispersive(beam, model, p)
+    q = eval_integral_rep(beam, p, medium=model)
     extras = {"n_evals": q.n_evals, "error": q.error_estimate}
     return q.value, extras, q.converged
 
@@ -150,28 +147,18 @@ def cmd_map(args) -> int:
                     rho_min=args.rho_min, rho_max=args.rho_max,
                     rho_steps=args.rho_steps, t=args.t)
     beam = BeamParams(omega=args.omega, cos_theta=args.cos_theta)
-    pts = grid.points()
-
-    def one(p: FieldPoint):
-        value, _, converged = _evaluate_point(args.rep, beam, p)
-        return value if converged else None
-
-    workers = _worker_count()
-    if workers > 1 and len(pts) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            values = list(ex.map(one, pts))
-    else:
-        values = [one(p) for p in pts]
+    _worker_count()  # validated only; the map runs serially
 
     nan = float("nan")
     rows = []
     failures = 0
-    for p, v in zip(pts, values):
-        if v is None:
+    for p in grid.points():
+        v, _, converged = _evaluate_point(args.rep, beam, p)
+        if converged:
+            rows.append((p.z, p.rho, p.t, v.real, v.imag, abs(v)))
+        else:
             failures += 1
             rows.append((p.z, p.rho, p.t, nan, nan, nan))
-        else:
-            rows.append((p.z, p.rho, p.t, v.real, v.imag, abs(v)))
 
     try:
         with open(args.out, "w") as fh:

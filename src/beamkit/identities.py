@@ -139,12 +139,16 @@ def _legendre_rows(n_max: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _jn_signed(n: int, x: float) -> float:
-    # j_n continued to negative argument by parity
-    v = spherical_jn(n, abs(x))
-    if x < 0 and n % 2 == 1:
-        return -v
-    return v
+def _jn_signed(n: int, lam) -> np.ndarray:
+    # j_n on an array of abscissae, continued to negative argument by parity
+    lam = np.asarray(lam, dtype=float)
+    sgn = -1.0 if n % 2 == 1 else 1.0
+    jn = np.empty(lam.shape)
+    out = jn.ravel()
+    for i, l in enumerate(lam.ravel()):
+        v = spherical_jn(n, abs(l))
+        out[i] = v * sgn if l < 0 else v
+    return jn
 
 
 # ----------------------------------------------------------------------------
@@ -266,17 +270,10 @@ def legendre_ft_pair(n: int, beta: float, tol: float = 1e-8) -> IdentityReport:
     if abs(beta) >= 1:
         raise ValueError(
             f"beta must lie strictly inside (-1, 1): {beta!r}")
-    sgn_odd = -1.0 if n % 2 == 1 else 1.0
 
     def f(lam):
         lam = np.asarray(lam, dtype=float)
-        jn = np.empty(lam.shape)
-        flat = lam.ravel()
-        out = jn.ravel()
-        for i, l in enumerate(flat):
-            v = spherical_jn(n, abs(l))
-            out[i] = v * sgn_odd if l < 0 else v
-        return jn * np.exp(1j * beta * lam)
+        return _jn_signed(n, lam) * np.exp(1j * beta * lam)
 
     margin = 1.0 - abs(beta)
     beat = 2.0 * np.pi / margin if margin > 1e-12 else None
@@ -298,12 +295,8 @@ def jn_norm_integral(n: int) -> IdentityReport:
         raise ValueError(f"negative order: n={n}")
 
     def f(lam):
-        lam = np.asarray(lam, dtype=float)
-        jn = np.empty(lam.shape)
-        flat = lam.ravel()
-        out = jn.ravel()
-        for i, l in enumerate(flat):
-            out[i] = spherical_jn(n, abs(l))
+        # the sign of j_n at negative lam cancels in the square
+        jn = _jn_signed(n, lam)
         return jn * jn
 
     rhs = np.pi / (2 * n + 1)
@@ -440,11 +433,7 @@ def bessel_beam_identity(omega_r: float, tol: float = 1e-8) -> IdentityReport:
     # route B: fold each order through its quadrature-evaluated norm
     route_b = 0j
     for n in range(n_max + 1):
-        def pn_sq(alpha, n=n):
-            al = np.asarray(alpha, dtype=float)
-            pn = _legendre_rows(n, al)[n]
-            return pn * pn
-        norm = integrate_finite(pn_sq, -1.0, 1.0, tol=1e-13).value.real
+        norm = legendre_orthogonality(n).lhs.real
         route_b += 2.0 * (1j ** n) * (n + 0.5) * seq[n] * norm
 
     params = {"omega_r": float(omega_r), "n_terms": int(n_max + 1),

@@ -23,9 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamcore import BeamParams, DispersionModel, FieldPoint, to_spherical
+from .beamcore import (_VACUUM, BeamParams, DispersionModel, FieldPoint,
+                       to_spherical)
 from .oscquad import QuadratureResult, integrate_oscillatory_infinite
-from .specfun import bessel_j0
+from .specfun import _sph_j0
 
 __all__ = [
     "KernelArgs",
@@ -59,11 +60,6 @@ def compute_R(lam, mu, cos_theta):
     return np.sqrt(np.maximum(rad, 0.0))
 
 
-def _sph_j0(x):
-    # sin(x)/x with the removable singularity filled in
-    return np.sinc(x / np.pi)
-
-
 def _rep_integral(mu: float, cos_theta: float, cos_eta: float, tol: float,
                   max_cell_pairs: int) -> QuadratureResult:
     """The lambda-integral divided by pi, for mu > 0, |cos_eta| < 1."""
@@ -85,47 +81,40 @@ def _rep_integral(mu: float, cos_theta: float, cos_eta: float, tol: float,
                             n_evals=res.n_evals, converged=res.converged)
 
 
-def _eval_rep(omega: float, cos_theta: float, p: FieldPoint, mu: float,
-              tol: float, max_cell_pairs: int) -> QuadratureResult:
+def eval_integral_rep(b: BeamParams, p: FieldPoint, tol: float = 1e-9,
+                      max_cell_pairs: int = 640, *,
+                      medium: DispersionModel = _VACUUM) -> QuadratureResult:
+    """Integral-representation field at one point.
+
+    Negative omega goes through the positive-frequency integral and a
+    conjugation (the spatial integrand depends on omega only through
+    mu = |omega|*r).  A medium enters only through
+    mu = n(omega)*|omega|*r.  Non-convergence is reported through the
+    flag, never raised.
+    """
     sph = to_spherical(p)
-    tfac = complex(np.exp(-1j * omega * p.t))
+    mu = medium.evaluate(b.omega) * abs(b.omega) * sph.r
+    tfac = complex(np.exp(-1j * b.omega * p.t))
     if mu == 0.0 or abs(sph.cos_eta) == 1.0:
         # origin and axis are analytic.  On the axis the raw symmetric
         # limit of the integral is exactly half the field (Dirichlet
         # midpoint at the support edge of the Fourier pair); the value
         # used is the continuous extension from |cos_eta| < 1, which is
         # the direct plane-phase field.
-        phase = np.sign(omega) * mu * cos_theta * sph.cos_eta
+        phase = np.sign(b.omega) * mu * b.cos_theta * sph.cos_eta
         return QuadratureResult(value=complex(np.exp(1j * phase) * tfac),
                                 error_estimate=0.0, n_evals=0, converged=True)
-    res = _rep_integral(mu, cos_theta, sph.cos_eta, tol, max_cell_pairs)
+    res = _rep_integral(mu, b.cos_theta, sph.cos_eta, tol, max_cell_pairs)
     value = res.value
-    if omega < 0:
+    if b.omega < 0:
         value = value.conjugate()
     return QuadratureResult(value=complex(value * tfac),
                             error_estimate=res.error_estimate,
                             n_evals=res.n_evals, converged=res.converged)
 
 
-def eval_integral_rep(b: BeamParams, p: FieldPoint, tol: float = 1e-9,
-                      max_cell_pairs: int = 640) -> QuadratureResult:
-    """Integral-representation field at one point.
-
-    Negative omega goes through the positive-frequency integral and a
-    conjugation (the spatial integrand depends on omega only through
-    mu = |omega|*r).  Non-convergence is reported through the flag, never
-    raised.
-    """
-    sph = to_spherical(p)
-    mu = abs(b.omega) * sph.r
-    return _eval_rep(b.omega, b.cos_theta, p, mu, tol, max_cell_pairs)
-
-
 def eval_integral_rep_dispersive(b: BeamParams, m: DispersionModel,
                                  p: FieldPoint, tol: float = 1e-9,
                                  max_cell_pairs: int = 640) -> QuadratureResult:
-    """Dispersive variant: the index enters only through mu = n(omega)*|omega|*r."""
-    n_idx = m.evaluate(b.omega)
-    sph = to_spherical(p)
-    mu = n_idx * abs(b.omega) * sph.r
-    return _eval_rep(b.omega, b.cos_theta, p, mu, tol, max_cell_pairs)
+    """``eval_integral_rep`` in medium ``m``."""
+    return eval_integral_rep(b, p, tol, max_cell_pairs, medium=m)

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamcore import BeamParams, DispersionModel, FieldPoint, to_spherical
+from .beamcore import (_VACUUM, BeamParams, DispersionModel, FieldPoint,
+                       to_spherical)
 from .specfun import legendre_p_sequence, spherical_jn_sequence
 
 __all__ = [
@@ -88,16 +89,19 @@ def _series_sum(mu: float, cos_theta: float, cos_eta: float, tol: float):
         n = min(HARD_CAP, max(n + 16, int(1.2 * n)))
 
 
-def eval_series(b: BeamParams, p: FieldPoint, tol: float = 1e-12) -> SeriesResult:
+def eval_series(b: BeamParams, p: FieldPoint, tol: float = 1e-12, *,
+                medium: DispersionModel = _VACUUM) -> SeriesResult:
     """Partial-wave series field at one point.
 
     The origin is analytic (every j_n(0) vanishes except n = 0 and the
     Legendre factors collapse): exp(-i*omega*t) with zero terms reported.
     Negative omega routes through the positive-frequency sum with i^n -> (-i)^n,
-    which is just the conjugate of the spatial part.
+    which is just the conjugate of the spatial part.  A medium rescales
+    only the spherical-Bessel argument to n(omega)*|omega|*r; Legendre and
+    time factors are untouched.
     """
     sph = to_spherical(p)
-    mu = abs(b.omega) * sph.r
+    mu = medium.evaluate(b.omega) * abs(b.omega) * sph.r
     tfac = np.exp(-1j * b.omega * p.t)
     if mu == 0.0:
         return SeriesResult(value=complex(tfac), n_terms=0, tail_estimate=0.0)
@@ -110,16 +114,5 @@ def eval_series(b: BeamParams, p: FieldPoint, tol: float = 1e-12) -> SeriesResul
 
 def eval_series_dispersive(b: BeamParams, m: DispersionModel, p: FieldPoint,
                            tol: float = 1e-12) -> SeriesResult:
-    """Series with refractive index: only the spherical-Bessel argument is
-    rescaled to n(omega)*omega*r; Legendre and time factors are untouched."""
-    n_idx = m.evaluate(b.omega)
-    sph = to_spherical(p)
-    mu = n_idx * abs(b.omega) * sph.r
-    tfac = np.exp(-1j * b.omega * p.t)
-    if mu == 0.0:
-        return SeriesResult(value=complex(tfac), n_terms=0, tail_estimate=0.0)
-    value, n_terms, tail, ok = _series_sum(mu, b.cos_theta, sph.cos_eta, tol)
-    if b.omega < 0:
-        value = value.conjugate()
-    return SeriesResult(value=complex(value * tfac), n_terms=n_terms,
-                        tail_estimate=tail, converged=ok)
+    """``eval_series`` in medium ``m``."""
+    return eval_series(b, p, tol, medium=m)

@@ -65,14 +65,7 @@ def legendre_p(n: int, x: float) -> float:
     """
     if n < 0:
         raise ValueError(f"negative degree: n={n}")
-    x = _clamp_unit(x)
-    if n == 0:
-        return 1.0
-    pm, pc = 1.0, x
-    for k in range(1, n):
-        pm, pc = pc, ((2 * k + 1) * x * pc - k * pm) / (k + 1)
-    # |P_n| <= 1 on the closed interval; shave any last-bit overshoot.
-    return min(1.0, max(-1.0, pc))
+    return legendre_p_sequence(n, x).values[n]
 
 
 def legendre_p_sequence(n_max: int, x: float) -> RealSequence:
@@ -93,8 +86,10 @@ def legendre_p_sequence(n_max: int, x: float) -> RealSequence:
 # Spherical Bessel functions
 # ----------------------------------------------------------------------------
 
-def _sph_j0(x: float) -> float:
-    return np.sinc(x / np.pi) if x != 0.0 else 1.0
+def _sph_j0(x):
+    # sin(x)/x, vectorized; np.sinc fills the removable singularity with
+    # exactly 1.0
+    return np.sinc(x / np.pi)
 
 
 def _sph_j1(x: float) -> float:

@@ -119,6 +119,13 @@ class TestEval:
             main(["eval", "--rep", "bogus", "--omega", "1", "--cos-theta", "0"])
         assert exc.value.code == 2
 
+    def test_series_beyond_hard_cap_exit_3(self, capsys):
+        # omega*r = 6000 lies past the series hard cap
+        rc = main(["eval", "--rep", "series", "--omega", "1200.0",
+                   "--cos-theta", "0.6", "--z", "3.0", "--rho", "4.0"])
+        assert rc == 3
+        assert "convergence" in capsys.readouterr().err
+
     def test_nonconvergence_exit_3(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_evaluate_point",
                             lambda rep, beam, p, model=None:

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from beamkit.beamcore import (BeamParams, FieldPoint, cauchy, eval_direct,
-                              eval_direct_dispersive, vacuum)
+from beamkit.beamcore import (BeamParams, FieldPoint, cauchy, constant,
+                              eval_direct, eval_direct_dispersive, vacuum)
 from beamkit.integralrep import (KernelArgs, compute_R, eval_integral_rep,
                                  eval_integral_rep_dispersive)
+from beamkit.pwseries import eval_series, eval_series_dispersive
 
 
 class TestKernelArgs:
@@ -165,3 +166,13 @@ class TestDispersive:
         assert res.n_evals == 0
         assert res.value == pytest.approx(
             eval_direct_dispersive(b, m, p), abs=1e-14)
+
+    @pytest.mark.parametrize("model", [constant(1.7), cauchy(1.5, 0.01)])
+    @pytest.mark.parametrize("route, wrapper", [
+        (eval_direct, eval_direct_dispersive),
+        (eval_series, eval_series_dispersive),
+        (eval_integral_rep, eval_integral_rep_dispersive)])
+    def test_medium_argument_matches_wrapper(self, route, wrapper, model):
+        b = BeamParams(omega=1.5, cos_theta=0.6)
+        p = FieldPoint(0.6, 0.9, 0.4)
+        assert route(b, p, medium=model) == wrapper(b, model, p)

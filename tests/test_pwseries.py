@@ -1,5 +1,6 @@
 """Partial-wave series representation against the direct evaluation."""
 import cmath
+import time
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from beamkit.beamcore import BeamParams, FieldPoint, cauchy, constant, vacuum
 from beamkit.beamcore import eval_direct, eval_direct_dispersive
-from beamkit.pwseries import (SeriesResult, eval_series,
+from beamkit.pwseries import (HARD_CAP, SeriesResult, eval_series,
                               eval_series_dispersive, truncation_order)
 
 _finite = dict(allow_nan=False, allow_infinity=False)
@@ -78,6 +79,18 @@ class TestEvalSeries:
         assert res.n_terms >= truncation_order(3.0 * np.hypot(1.0, 2.0),
                                                1e-10) or res.n_terms > 0
         assert res.tail_estimate < 1e-10
+
+    @pytest.mark.parametrize("omega_r", [4900.0, 6000.0, 20000.0])
+    def test_beyond_hard_cap_reports_nonconvergence(self, omega_r):
+        # omega*r so large that the tail never drops under tol by the cap:
+        # the result says so, at bounded cost, instead of raising
+        b = BeamParams(omega=omega_r / 5.0, cos_theta=0.6)
+        t0 = time.perf_counter()
+        res = eval_series(b, FieldPoint(z=3.0, rho=4.0, t=0.0))
+        elapsed = time.perf_counter() - t0
+        assert not res.converged
+        assert res.n_terms == HARD_CAP + 1
+        assert elapsed < 1.0
 
     @given(omega=st.floats(-12, 12, **_finite),
            ct=st.floats(-1, 1, **_finite),
