@@ -10,6 +10,7 @@ k_rho = omega*sin(theta); sin(theta) is always the nonnegative root.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,8 @@ class FieldPoint:
     t: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.z, self.rho, self.t))):
+            raise ValueError(f"z, rho and t must be finite: {self!r}")
         if self.rho < 0:
             raise ValueError(f"rho must be nonnegative: {self.rho!r}")
 
@@ -69,7 +72,7 @@ class BeamParams:
     def __post_init__(self):
         if not np.isfinite(self.omega):
             raise ValueError(f"omega must be finite: {self.omega!r}")
-        if abs(self.cos_theta) > 1.0:
+        if not abs(self.cos_theta) <= 1.0:
             raise ValueError(f"cos_theta outside [-1, 1]: {self.cos_theta!r}")
 
     @property

@@ -127,28 +127,11 @@ def _report(identity_id: str, params: dict, lhs, rhs, tol: float,
                           rel_err=float(rel_err), tol=float(tol), ok=bool(ok))
 
 
-def _legendre_rows(n_max: int, x: np.ndarray) -> np.ndarray:
-    # P_0..P_{n_max} on an array of abscissae, orders along axis 0
-    x = np.asarray(x, dtype=float)
-    out = np.empty((n_max + 1,) + x.shape)
-    out[0] = 1.0
-    if n_max >= 1:
-        out[1] = x
-    for k in range(1, n_max):
-        out[k + 1] = ((2 * k + 1) * x * out[k] - k * out[k - 1]) / (k + 1)
-    return out
-
-
 def _jn_signed(n: int, lam) -> np.ndarray:
-    # j_n on an array of abscissae, continued to negative argument by parity
+    # j_n continued to negative argument by parity
     lam = np.asarray(lam, dtype=float)
-    sgn = -1.0 if n % 2 == 1 else 1.0
-    jn = np.empty(lam.shape)
-    out = jn.ravel()
-    for i, l in enumerate(lam.ravel()):
-        v = spherical_jn(n, abs(l))
-        out[i] = v * sgn if l < 0 else v
-    return jn
+    jn = spherical_jn(n, np.abs(lam))
+    return np.where(lam < 0, -jn, jn) if n % 2 == 1 else jn
 
 
 # ----------------------------------------------------------------------------
@@ -171,7 +154,7 @@ class LegendreSpectrum:
     def kernel(self, x) -> np.ndarray:
         """Evaluate sum a_n P_n(x) on an array of abscissae."""
         n_max = len(self.coefficients) - 1
-        rows = _legendre_rows(n_max, np.asarray(x, dtype=float))
+        rows = legendre_p_sequence(n_max, x).values
         return np.tensordot(np.asarray(self.coefficients), rows, axes=1)
 
 
@@ -195,7 +178,7 @@ def verify_stratton_integral(n: int, omega: float, z: float, rho: float,
 
     def integrand(alpha):
         al = np.asarray(alpha, dtype=float)
-        pn = _legendre_rows(n, al)[n]
+        pn = legendre_p(n, al)
         transverse = omega * np.sqrt(np.maximum(0.0, 1.0 - al * al)) * rho
         return pn * np.exp(1j * omega * al * z) * bessel_j0(transverse)
 
@@ -242,8 +225,7 @@ def legendre_orthogonality(n: int) -> IdentityReport:
         raise ValueError(f"negative order: n={n}")
 
     def integrand(alpha):
-        al = np.asarray(alpha, dtype=float)
-        pn = _legendre_rows(n, al)[n]
+        pn = legendre_p(n, alpha)
         return pn * pn
 
     q = integrate_finite(integrand, -1.0, 1.0, tol=1e-13)
@@ -332,9 +314,9 @@ def hochstadt_sum_check(lam: float, mu: float, cos_theta: float,
         raise ValueError(
             f"n_max={n_max} below the truncation floor {floor} for "
             f"arguments up to {max(lam, mu)!r}")
-    jl = np.asarray(spherical_jn_sequence(n_max, lam).values)
-    jm = np.asarray(spherical_jn_sequence(n_max, mu).values)
-    pt = np.asarray(legendre_p_sequence(n_max, cos_theta).values)
+    jl = spherical_jn_sequence(n_max, lam).values
+    jm = spherical_jn_sequence(n_max, mu).values
+    pt = legendre_p_sequence(n_max, cos_theta).values
     orders = np.arange(n_max + 1)
     lhs = (2.0 / np.pi) * float(np.sum((orders + 0.5) * pt * jl * jm))
     dist = float(np.sqrt(max(0.0, lam * lam + mu * mu
@@ -348,10 +330,10 @@ def hochstadt_sum_check(lam: float, mu: float, cos_theta: float,
 
 def _plane_wave_sum(x: float, cos_gamma: float, n_max: int,
                     half_coeff: bool) -> complex:
-    jx = np.asarray(spherical_jn_sequence(n_max, abs(x)).values)
+    jx = spherical_jn_sequence(n_max, abs(x)).values
     if x < 0:
         jx = jx * np.where(np.arange(n_max + 1) % 2 == 1, -1.0, 1.0)
-    pg = np.asarray(legendre_p_sequence(n_max, cos_gamma).values)
+    pg = legendre_p_sequence(n_max, cos_gamma).values
     orders = np.arange(n_max + 1)
     coeff = (orders + 0.5) if half_coeff else (2 * orders + 1)
     return complex(np.sum(coeff * (1j ** orders) * jx * pg))
@@ -422,7 +404,7 @@ def bessel_beam_identity(omega_r: float, tol: float = 1e-8) -> IdentityReport:
 
     n_max = truncation_order(omega_r)
     while True:
-        seq = np.asarray(spherical_jn_sequence(n_max, omega_r).values)
+        seq = spherical_jn_sequence(n_max, omega_r).values
         tail = 2.0 * (abs(seq[-1]) + abs(seq[-2]))
         if tail <= 0.01 * tol or n_max >= 400:
             break

@@ -45,9 +45,9 @@ class KernelArgs:
     cos_eta: float
 
     def __post_init__(self):
-        if self.mu < 0:
+        if not self.mu >= 0:
             raise ValueError(f"mu must be nonnegative: {self.mu!r}")
-        if abs(self.cos_theta) > 1 or abs(self.cos_eta) > 1:
+        if not (abs(self.cos_theta) <= 1 and abs(self.cos_eta) <= 1):
             raise ValueError("cosines must lie in [-1, 1]")
 
 

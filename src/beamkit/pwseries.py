@@ -77,9 +77,9 @@ def _series_sum(mu: float, cos_theta: float, cos_eta: float, tol: float):
     """
     n = truncation_order(mu, tol)
     while True:
-        pt = np.asarray(legendre_p_sequence(n, cos_theta).values)
-        pe = np.asarray(legendre_p_sequence(n, cos_eta).values)
-        jn = np.asarray(spherical_jn_sequence(n, mu).values)
+        pt = legendre_p_sequence(n, cos_theta).values
+        pe = legendre_p_sequence(n, cos_eta).values
+        jn = spherical_jn_sequence(n, mu).values
         orders = np.arange(n + 1)
         terms = 2.0 * (1j ** orders) * (orders + 0.5) * pt * pe * jn
         tail = float(np.abs(terms[-1]) + np.abs(terms[-2]))

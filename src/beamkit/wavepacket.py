@@ -56,9 +56,9 @@ class ConeAngles:
     cos_gamma: float
 
     def __post_init__(self):
-        if abs(self.cos_theta) > 1:
+        if not abs(self.cos_theta) <= 1:
             raise ValueError(f"cos_theta outside [-1, 1]: {self.cos_theta!r}")
-        if abs(self.cos_eta) > 1:
+        if not abs(self.cos_eta) <= 1:
             raise ValueError(f"cos_eta outside [-1, 1]: {self.cos_eta!r}")
 
     @property
@@ -86,7 +86,7 @@ def xwave_closed_form(cos_theta: float, p: FieldPoint) -> float:
 
     The exact boundary is singular and refused.
     """
-    if abs(cos_theta) > 1:
+    if not abs(cos_theta) <= 1:
         raise ValueError(f"cos_theta outside [-1, 1]: {cos_theta!r}")
     st = np.sqrt(max(0.0, 1.0 - cos_theta * cos_theta))
     a = st * p.rho
@@ -127,16 +127,16 @@ def triple_legendre_sum(a: ConeAngles, n_max: int,
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1: {n_max!r}")
-    if abs(a.cos_gamma) > 1:
+    if not abs(a.cos_gamma) <= 1:
         raise ValueError(
             f"cos_gamma outside [-1, 1]: {a.cos_gamma!r}; the Legendre factors "
             "diverge there and the sum is undefined")
     if mode not in ("raw", "cesaro", "double_average"):
         raise ValueError(f"unknown mode: {mode!r}")
     c1, c2, c3 = sorted((a.cos_theta, a.cos_eta, a.cos_gamma))
-    p1 = np.asarray(legendre_p_sequence(n_max, c1).values)
-    p2 = np.asarray(legendre_p_sequence(n_max, c2).values)
-    p3 = np.asarray(legendre_p_sequence(n_max, c3).values)
+    p1 = legendre_p_sequence(n_max, c1).values
+    p2 = legendre_p_sequence(n_max, c2).values
+    p3 = legendre_p_sequence(n_max, c3).values
     orders = np.arange(n_max + 1)
     terms = (2 * orders + 1) * p1 * p2 * p3
     partial = np.cumsum(terms)

@@ -302,3 +302,30 @@ class TestXwaveCmd:
         rc = main(["xwave", "--cos-theta", "0.0", "--rho", "1.0",
                    "--t", "1.0"])
         assert rc == 2
+
+
+# NaN fails both `abs(c) > 1` and `x < 0`, so each domain check is written
+# to refuse it; non-finite coordinates are refused as well
+@pytest.mark.parametrize("argv", [
+    ["eval", "--rep", "series", "--omega", "3", "--cos-theta", "nan",
+     "--z", "1", "--rho", "0.5"],
+    ["eval", "--rep", "direct", "--omega", "3", "--cos-theta", "0.5",
+     "--z", "nan"],
+    ["eval", "--rep", "direct", "--omega", "3", "--cos-theta", "0.5",
+     "--rho", "inf"],
+    ["eval", "--rep", "integral", "--omega", "3", "--cos-theta", "0.5",
+     "--rho", "1", "--t", "nan"],
+    ["legendre-sum", "--cos-theta", "nan", "--cos-eta", "0",
+     "--cos-gamma", "0", "--n-max", "50"],
+    ["legendre-sum", "--cos-theta", "0", "--cos-eta", "nan",
+     "--cos-gamma", "0", "--n-max", "50"],
+    ["legendre-sum", "--cos-theta", "0", "--cos-eta", "0",
+     "--cos-gamma", "nan", "--n-max", "50"],
+    ["xwave", "--cos-theta", "nan", "--z", "0.5", "--rho", "2",
+     "--t", "0.6"],
+])
+def test_non_finite_input_exit_2(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err

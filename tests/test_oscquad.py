@@ -70,14 +70,7 @@ class TestFinite:
 
 
 def _jn_even(n):
-    def f(lam):
-        lam = np.asarray(lam, dtype=float)
-        out = np.empty(lam.shape)
-        flat, dst = lam.ravel(), out.ravel()
-        for i, l in enumerate(flat):
-            dst[i] = spherical_jn(n, abs(l))
-        return out
-    return f
+    return lambda lam: spherical_jn(n, np.abs(lam))
 
 
 class TestOscillatoryInfinite:

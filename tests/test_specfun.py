@@ -35,7 +35,7 @@ class TestLegendre:
 
     def test_endpoint_alternation(self):
         seq = legendre_p_sequence(5, -1.0)
-        assert seq.values == [1.0, -1.0, 1.0, -1.0, 1.0, -1.0]
+        assert list(seq.values) == [1.0, -1.0, 1.0, -1.0, 1.0, -1.0]
 
     def test_sequence_matches_elementwise(self):
         seq = legendre_p_sequence(20, 0.3)
@@ -51,6 +51,25 @@ class TestLegendre:
             legendre_p(3, 1.0 + 1e-11)
         with pytest.raises(ValueError):
             legendre_p(-1, 0.5)
+
+    @pytest.mark.parametrize("x", [math.nan, [0.2, math.nan],
+                                   [0.2, 1.0 + 1e-11], [-1.0 - 1e-11, 0.0]])
+    def test_domain_error_nan_and_array(self, x):
+        with pytest.raises(ValueError):
+            legendre_p(3, x)
+        with pytest.raises(ValueError):
+            legendre_p_sequence(3, x)
+
+    def test_array_rows_match_scalar_sequences_bitwise(self):
+        xs = np.concatenate([np.linspace(-1.0, 1.0, 201),
+                             [1.0 + 5e-13, -1.0 - 5e-13, 0.3]])
+        rows = legendre_p_sequence(120, xs).values
+        assert rows.shape == (121, xs.size)
+        for j, x in enumerate(xs):
+            assert np.array_equal(rows[:, j],
+                                  legendre_p_sequence(120, float(x)).values)
+        assert np.array_equal(legendre_p(7, xs), rows[7])
+        assert type(legendre_p(7, 0.3)) is float
 
     @given(n=st.integers(0, 500), x=st.floats(-1.0, 1.0))
     @settings(max_examples=200, deadline=None)
@@ -90,10 +109,10 @@ class TestSphericalBessel:
 
     @pytest.mark.parametrize("n,x,expected", _JN_ORACLES)
     def test_against_series_oracle(self, n, x, expected):
-        assert spherical_jn(n, x) == pytest.approx(expected, rel=1e-12)
+        assert spherical_jn(n, x) == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_at_zero(self):
-        assert spherical_jn_sequence(3, 0.0).values == [1.0, 0.0, 0.0, 0.0]
+        assert list(spherical_jn_sequence(3, 0.0).values) == [1.0, 0.0, 0.0, 0.0]
         assert spherical_jn(0, 0.0) == 1.0
         assert spherical_jn(7, 0.0) == 0.0
 
@@ -101,7 +120,7 @@ class TestSphericalBessel:
         seq = spherical_jn_sequence(60, 10.0)
         for n, v in enumerate(seq.values):
             if abs(v) > 1e-280:
-                assert v == pytest.approx(spherical_jn(n, 10.0), rel=1e-12)
+                assert v == pytest.approx(spherical_jn(n, 10.0), rel=1e-12, abs=0)
 
     def test_underflow_flush_flagged(self):
         # j_250(1) ~ 1e-570: far below the flush floor
@@ -121,6 +140,41 @@ class TestSphericalBessel:
             spherical_jn(2, -0.5)
         with pytest.raises(ValueError):
             spherical_jn_sequence(5, -1.0)
+
+    @pytest.mark.parametrize("x", [math.nan, [1.0, math.nan], [1.0, -0.5]])
+    def test_nan_and_negative_array_refused(self, x):
+        with pytest.raises(ValueError):
+            spherical_jn(3, x)
+        if np.ndim(x) == 0:
+            with pytest.raises(ValueError):
+                spherical_jn_sequence(3, x)
+
+    # x on both sides of x = n, the tiny-argument band and exact zero
+    _ARRAY_X = np.concatenate([[0.0, 1e-9, 1e-3, 0.5, 1.0],
+                               np.linspace(0.01, 40.0, 400),
+                               np.arange(26.0), np.arange(1.0, 26.0) - 1e-9])
+
+    @pytest.mark.parametrize("n", range(25))
+    def test_array_matches_scalar_bitwise(self, n):
+        got = spherical_jn(n, self._ARRAY_X)
+        want = np.array([spherical_jn(n, float(x)) for x in self._ARRAY_X])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert type(spherical_jn(n, 2.5)) is float
+
+    def test_array_keeps_shape(self):
+        x = self._ARRAY_X[:40].reshape(5, 8)
+        assert spherical_jn(4, x).shape == (5, 8)
+
+    # j_1 below x = 1, where sin(x)/x^2 - cos(x)/x cancels; frozen from a
+    # 40-digit series oracle
+    @pytest.mark.parametrize("x,expected", [
+        (1.0001e-3, 3.333666333233335501907e-4),
+        (2e-3, 6.66666400000038109113e-4),
+        (1e-2, 3.333300000119047467976e-3),
+        (3e-2, 9.999100028928088920671e-3),
+    ])
+    def test_j1_small_argument(self, x, expected):
+        assert spherical_jn(1, x) == pytest.approx(expected, rel=1e-13, abs=0)
 
     def test_j0_times_x_is_sine(self):
         for x in (0.3, 1.7, 6.0, 31.4, 200.0):
@@ -147,7 +201,7 @@ class TestSphericalBessel:
             if n > 0:
                 dfact *= 2 * n + 1
             expected = x ** n / dfact
-            assert spherical_jn(n, x) == pytest.approx(expected, rel=1e-2)
+            assert spherical_jn(n, x) == pytest.approx(expected, rel=1e-2, abs=0)
 
     # deep-decay band: representable values hundreds of decades below 1,
     # frozen from a 40-digit oracle.  Regression for a rescale bug that
@@ -160,17 +214,17 @@ class TestSphericalBessel:
         (2, 1e-100, 6.666666666666666933225e-202),
     ])
     def test_deep_decay_band(self, n, x, expected):
-        assert spherical_jn(n, x) == pytest.approx(expected, rel=1e-12)
+        assert spherical_jn(n, x) == pytest.approx(expected, rel=1e-12, abs=0)
         assert spherical_jn_sequence(n, x).values[n] == pytest.approx(
-            expected, rel=1e-12)
+            expected, rel=1e-12, abs=0)
 
     def test_tiny_argument_sequence(self):
         # at x = 1e-100 only the first three orders are representable
         seq = spherical_jn_sequence(5, 1e-100)
         assert seq.values[0] == 1.0
-        assert seq.values[1] == pytest.approx(1e-100 / 3.0, rel=1e-15)
-        assert seq.values[2] == pytest.approx(1e-200 / 15.0, rel=1e-15)
-        assert seq.values[3:] == [0.0, 0.0, 0.0]
+        assert seq.values[1] == pytest.approx(1e-100 / 3.0, rel=1e-15, abs=0)
+        assert seq.values[2] == pytest.approx(1e-200 / 15.0, rel=1e-15, abs=0)
+        assert list(seq.values[3:]) == [0.0, 0.0, 0.0]
         assert set(seq.flushed) == {3, 4, 5}
 
 
