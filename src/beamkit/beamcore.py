@@ -162,7 +162,10 @@ def eval_direct(b: BeamParams, p: FieldPoint, *,
     """
     om_eff = medium.evaluate(b.omega) * b.omega
     phase = om_eff * b.cos_theta * p.z - b.omega * p.t
-    return complex(np.exp(1j * phase) * bessel_j0(om_eff * b.sin_theta * p.rho))
+    x = om_eff * b.sin_theta * p.rho
+    if not (math.isfinite(phase) and math.isfinite(x)):
+        raise ValueError(f"phase {phase!r} or k_rho*rho {x!r} is not finite")
+    return complex(np.exp(1j * phase) * bessel_j0(x))
 
 
 def eval_direct_dispersive(b: BeamParams, m: DispersionModel,

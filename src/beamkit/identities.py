@@ -296,6 +296,17 @@ def jn_norm_integral(n: int) -> IdentityReport:
 # Partial-wave sums
 # ----------------------------------------------------------------------------
 
+def _order_at_floor(x: float, n_max: int | None, where: str) -> int:
+    """``n_max`` (refused below the truncation floor at x), or floor + 8."""
+    floor = truncation_order(x)
+    if n_max is None:
+        return floor + 8
+    if n_max < floor:
+        raise ValueError(
+            f"n_max={n_max} below the truncation floor {floor} for {where}")
+    return n_max
+
+
 def hochstadt_sum_check(lam: float, mu: float, cos_theta: float,
                         n_max: int | None = None) -> IdentityReport:
     """Addition-theorem sum vs j_0 at the triangle distance, 1e-10 absolute.
@@ -307,13 +318,8 @@ def hochstadt_sum_check(lam: float, mu: float, cos_theta: float,
         raise ValueError(f"lam and mu must be positive: {lam!r}, {mu!r}")
     if abs(cos_theta) > 1:
         raise ValueError(f"cos_theta outside [-1, 1]: {cos_theta!r}")
-    floor = truncation_order(max(lam, mu))
-    if n_max is None:
-        n_max = floor + 8
-    elif n_max < floor:
-        raise ValueError(
-            f"n_max={n_max} below the truncation floor {floor} for "
-            f"arguments up to {max(lam, mu)!r}")
+    n_max = _order_at_floor(max(lam, mu), n_max,
+                            f"arguments up to {max(lam, mu)!r}")
     jl = spherical_jn_sequence(n_max, lam).values
     jm = spherical_jn_sequence(n_max, mu).values
     pt = legendre_p_sequence(n_max, cos_theta).values
@@ -349,12 +355,7 @@ def plane_wave_expansion_check(x: float, cos_gamma: float,
     """
     if abs(cos_gamma) > 1:
         raise ValueError(f"cos_gamma outside [-1, 1]: {cos_gamma!r}")
-    floor = truncation_order(abs(x))
-    if n_max is None:
-        n_max = floor + 8
-    elif n_max < floor:
-        raise ValueError(
-            f"n_max={n_max} below the truncation floor {floor} for x={x!r}")
+    n_max = _order_at_floor(abs(x), n_max, f"x={x!r}")
     lhs = complex(np.exp(1j * x * cos_gamma))
     rhs = _plane_wave_sum(x, cos_gamma, n_max, half_coeff=False)
     params = {"x": float(x), "cos_gamma": float(cos_gamma),
@@ -388,8 +389,9 @@ def bessel_beam_identity(omega_r: float, tol: float = 1e-8) -> IdentityReport:
 
     lhs = int_{-1}^{1} J_0(wr (1-a^2)) exp(i wr a^2) da with a = cos(theta),
     rhs = sum_n 2 i^n j_n(wr).  A second route for the rhs, weighting each
-    order by its quadrature-evaluated P_n norm times (n+1/2), is recorded
-    in params; the two routes collapse to the same number because the norm
+    order by (n+1/2) times its P_n norm from one Gauss-Legendre rule with
+    n_max + 1 nodes (exact for every P_n^2 up to n_max), is recorded in
+    params; the two routes collapse to the same number because the norm
     integral is exactly 1/(n+1/2).
     """
     if omega_r < 0:
@@ -410,13 +412,13 @@ def bessel_beam_identity(omega_r: float, tol: float = 1e-8) -> IdentityReport:
             break
         n_max = int(1.3 * n_max) + 8
     orders = np.arange(n_max + 1)
-    rhs = complex(np.sum(2.0 * (1j ** orders) * seq))
+    terms = 2.0 * (1j ** orders) * seq
+    rhs = complex(np.sum(terms))
 
     # route B: fold each order through its quadrature-evaluated norm
-    route_b = 0j
-    for n in range(n_max + 1):
-        norm = legendre_orthogonality(n).lhs.real
-        route_b += 2.0 * (1j ** n) * (n + 0.5) * seq[n] * norm
+    nodes, weights = np.polynomial.legendre.leggauss(n_max + 1)
+    norms = legendre_p_sequence(n_max, nodes).values ** 2 @ weights
+    route_b = complex(np.sum(terms * (orders + 0.5) * norms))
 
     params = {"omega_r": float(omega_r), "n_terms": int(n_max + 1),
               "series_tail": float(tail),
@@ -470,11 +472,10 @@ def xwave_oracle_check(cos_theta: float, p: FieldPoint) -> IdentityReport:
     lhs = xwave_closed_form(cos_theta, p)
     params = {"cos_theta": float(cos_theta), "z": float(p.z),
               "rho": float(p.rho), "t": float(p.t)}
+    oracle, est = _richardson_eps_limit(a, b)
     if a * a - b * b > 0:
-        oracle, est = _richardson_eps_limit(a, b)
         params["oracle_error"] = float(est)
         return _report("xwave_closed_form", params, lhs, oracle, 1e-3)
-    oracle, _ = _richardson_eps_limit(a, b)
     params["oracle_residual"] = float(oracle)
     return _report("xwave_closed_form", params, lhs, 0.0, 0.0)
 
@@ -601,9 +602,6 @@ def suite_xwave(seed: int = 28618) -> list:
     return [xwave_oracle_check(ct, p) for ct, p in interior + exterior]
 
 
-SUITE_NAMES = ("stratton", "ftpair", "hochstadt", "orthogonality", "jnnorm",
-               "planewave", "beamidentity", "triplesum", "xwave")
-
 _SUITES = {
     "stratton": suite_stratton,
     "ftpair": suite_ftpair,
@@ -615,6 +613,8 @@ _SUITES = {
     "triplesum": suite_triplesum,
     "xwave": suite_xwave,
 }
+
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str) -> list:

@@ -19,6 +19,7 @@ inside the open interval), exactly as the origin already is.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,6 +95,9 @@ def eval_integral_rep(b: BeamParams, p: FieldPoint, tol: float = 1e-9,
     """
     sph = to_spherical(p)
     mu = medium.evaluate(b.omega) * abs(b.omega) * sph.r
+    if not (math.isfinite(mu) and math.isfinite(b.omega * p.t)):
+        raise ValueError(f"mu = {mu!r} or omega*t = {b.omega * p.t!r} "
+                         "is not finite")
     tfac = complex(np.exp(-1j * b.omega * p.t))
     if mu == 0.0 or abs(sph.cos_eta) == 1.0:
         # origin and axis are analytic.  On the axis the raw symmetric

@@ -32,6 +32,9 @@ __all__ = [
 
 _EPMACH = float(np.finfo(float).eps)
 _OFLOW = float(np.finfo(float).max)
+# geometric node schedule of the 1/n extrapolation: ratio and length
+_NEVILLE_RATIO = 1.3
+_NEVILLE_NODES = 16
 
 
 @dataclass(frozen=True)
@@ -86,7 +89,7 @@ _WG7 = np.concatenate([_WG[:3], [_WG[3]], _WG[2::-1]])
 
 
 def _k15_panel(f, a: float, b: float):
-    """One K15 application on [a, b]: (kronrod, error, resabs)."""
+    """One K15 application on [a, b]: (kronrod, error)."""
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
     fx = np.asarray(f(c + h * _NODES), dtype=complex)
@@ -102,7 +105,7 @@ def _k15_panel(f, a: float, b: float):
         err = diff
     # don't claim below attainable rounding
     err = max(err, 50.0 * _EPMACH * resabs)
-    return k, err, resabs
+    return k, err
 
 
 def integrate_finite(f: Callable, a: float, b: float, tol: float = 1e-10,
@@ -121,7 +124,7 @@ def integrate_finite(f: Callable, a: float, b: float, tol: float = 1e-10,
     if a == b:
         return QuadratureResult(value=0j, error_estimate=0.0, n_evals=0, converged=True)
 
-    val, err, _ = _k15_panel(f, a, b)
+    val, err = _k15_panel(f, a, b)
     n_evals = 15
     # heap of (-error, tiebreak, a, b, value, error)
     heap = [(-err, 0, a, b, val, err)]
@@ -137,8 +140,8 @@ def integrate_finite(f: Callable, a: float, b: float, tol: float = 1e-10,
             heapq.heappush(heap, (0.0, seq, pa, pb, pval, perr))
             seq += 1
             continue
-        lv, le, _ = _k15_panel(f, pa, mid)
-        rv, re_, _ = _k15_panel(f, mid, pb)
+        lv, le = _k15_panel(f, pa, mid)
+        rv, re_ = _k15_panel(f, mid, pb)
         n_evals += 30
         total_err += le + re_ - perr
         heapq.heappush(heap, (-le, seq, pa, mid, lv, le))
@@ -254,16 +257,16 @@ class _GeoNeville:
 
     Partial sums whose oscillatory part cancels over the cell length behave
     like I - c1/n - c2/n^2 - ...; Neville in x = 1/n removes the algebraic
-    tail.  A geometric schedule (n, 1.35n, ...) keeps the node matrix well
+    tail.  A geometric schedule (n, 1.3n, ...) keeps the node matrix well
     conditioned the way Romberg does, where consecutive indices would not.
     """
 
-    def __init__(self, k0: int, ratio: float = 1.3, max_nodes: int = 16):
+    def __init__(self, k0: int):
         self.sched = []
         k = max(k0, 2)
-        for _ in range(max_nodes):
+        for _ in range(_NEVILLE_NODES):
             self.sched.append(k)
-            k = int(np.ceil(k * ratio)) + 1
+            k = int(np.ceil(k * _NEVILLE_RATIO)) + 1
         self.x: list[float] = []
         self.row: list[complex] = []
         self.last: complex | None = None

@@ -9,6 +9,7 @@ itself: j_n(x) dies super-exponentially once n passes x.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,11 +51,12 @@ def truncation_order(omega_r: float, tol: float = 1e-10) -> int:
     right until the first omitted order sits below 0.01*tol, so the
     dropped tail is negligible at the requested tolerance.
     """
-    if omega_r < 0:
-        raise ValueError(f"omega_r must be nonnegative: {omega_r!r}")
+    x = float(omega_r)
+    if not (x >= 0 and math.isfinite(x)):
+        raise ValueError(
+            f"omega_r must be finite and nonnegative: {omega_r!r}")
     if tol <= 0:
         raise ValueError(f"tol must be positive: {tol!r}")
-    x = float(omega_r)
     base = max(10, int(np.ceil(x + 4.0 * x ** (1.0 / 3.0) + 10.0)))
     if x == 0.0:
         return base
@@ -102,6 +104,8 @@ def eval_series(b: BeamParams, p: FieldPoint, tol: float = 1e-12, *,
     """
     sph = to_spherical(p)
     mu = medium.evaluate(b.omega) * abs(b.omega) * sph.r
+    if not math.isfinite(b.omega * p.t):
+        raise ValueError(f"omega*t is not finite: {b.omega * p.t!r}")
     tfac = np.exp(-1j * b.omega * p.t)
     if mu == 0.0:
         return SeriesResult(value=complex(tfac), n_terms=0, tail_estimate=0.0)

@@ -14,6 +14,7 @@ partial-wave series route calls it per point.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -200,8 +201,8 @@ def spherical_jn_sequence(n_max: int, x: float) -> RealSequence:
     if n_max < 0:
         raise ValueError(f"negative order: n_max={n_max}")
     x = float(x)
-    if not x >= 0:
-        raise ValueError(f"argument must be nonnegative: x={x!r}")
+    if not (x >= 0 and math.isfinite(x)):
+        raise ValueError(f"argument must be finite and nonnegative: x={x!r}")
     if x == 0.0:
         vals = np.zeros(n_max + 1)
         vals[0] = 1.0
@@ -226,8 +227,8 @@ def spherical_jn(n: int, x):
     if np.ndim(x) == 0:
         return float(spherical_jn_sequence(n, x).values[n])
     x = np.asarray(x, dtype=float)
-    if not np.all(x >= 0):
-        raise ValueError("array x holds a negative or NaN entry")
+    if not np.all((x >= 0) & np.isfinite(x)):
+        raise ValueError("array x holds a negative or non-finite entry")
     out = np.empty(x.shape)
     up = x >= max(n, 1)
     out[up] = _sph_sequence_upward(n, x[up])[n]

@@ -25,6 +25,7 @@ form exactly.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,6 +93,8 @@ def xwave_closed_form(cos_theta: float, p: FieldPoint) -> float:
     a = st * p.rho
     b = p.t - cos_theta * p.z
     rad = float(a * a - b * b)
+    if not math.isfinite(rad):
+        raise ValueError(f"support radicand is not finite: {rad!r}")
     if abs(rad) < BOUNDARY_GUARD:
         raise ValueError(
             f"point sits on the singular support boundary (radicand {rad!r})")

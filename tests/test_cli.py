@@ -323,6 +323,20 @@ class TestXwaveCmd:
      "--cos-gamma", "nan", "--n-max", "50"],
     ["xwave", "--cos-theta", "nan", "--z", "0.5", "--rho", "2",
      "--t", "0.6"],
+    # finite flags whose products overflow: omega*r, the phase, k_rho*rho,
+    # the X-wave radicand and omega*t
+    ["eval", "--rep", "series", "--omega", "1e200", "--cos-theta", "0.5",
+     "--z", "1e200"],
+    ["eval", "--rep", "direct", "--omega", "1e200", "--cos-theta", "0.5",
+     "--z", "1e200", "--rho", "1e200"],
+    ["eval", "--rep", "integral", "--omega", "1e200", "--cos-theta", "0.5",
+     "--z", "1e200", "--rho", "1"],
+    ["xwave", "--cos-theta", "0.5", "--z", "1e200", "--rho", "1e200",
+     "--t", "1"],
+    ["eval", "--rep", "series", "--omega", "1e200", "--cos-theta", "0.5",
+     "--z", "1e-200", "--t", "1e200"],
+    ["eval", "--rep", "integral", "--omega", "1e200", "--cos-theta", "0.5",
+     "--z", "1e-200", "--t", "1e200"],
 ])
 def test_non_finite_input_exit_2(argv, capsys):
     assert main(argv) == 2

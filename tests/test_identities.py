@@ -155,12 +155,15 @@ class TestBeamIdentity:
         assert r.lhs.real == pytest.approx(-0.3642251404496200897235, abs=1e-12)
         assert r.lhs.imag == pytest.approx(-0.4689454043521798672036, abs=1e-12)
 
-    def test_series_routes_agree(self):
-        # the tail-extended series and the term-by-term quadrature route
-        # must agree independently of the integral
-        r = bessel_beam_identity(10.0)
+    @pytest.mark.parametrize("omega_r", [10.0, 40.0, 160.0])
+    def test_series_routes_agree(self, omega_r):
+        # the tail-extended series and the Gauss-Legendre norm route must
+        # agree independently of the integral, past n = 200 too
+        r = bessel_beam_identity(omega_r)
         _assert_ok(r)
         assert r.params["route_gap"] < 1e-10
+        if omega_r == 160.0:
+            assert r.params["n_terms"] > 200
 
 
 class TestReportContract:

@@ -141,7 +141,8 @@ class TestSphericalBessel:
         with pytest.raises(ValueError):
             spherical_jn_sequence(5, -1.0)
 
-    @pytest.mark.parametrize("x", [math.nan, [1.0, math.nan], [1.0, -0.5]])
+    @pytest.mark.parametrize("x", [math.nan, [1.0, math.nan], [1.0, -0.5],
+                                   math.inf, [1.0, math.inf]])
     def test_nan_and_negative_array_refused(self, x):
         with pytest.raises(ValueError):
             spherical_jn(3, x)
