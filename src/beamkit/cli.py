@@ -12,20 +12,18 @@ Subcommands:
 Exit codes: 0 success, 1 verification failure, 2 usage or domain error,
 3 numerical non-convergence.  Floats are printed with repr, so every
 number round-trips exactly; CSV field maps carry the fixed header
-``z,rho,t,re,im,abs`` in z-major, then rho, order.  BEAMKIT_THREADS is
-still validated (a value that is not a positive integer exits 2), but
-``map`` evaluates its grid serially: every route holds the interpreter
-lock, and on the README grid with 2 vCPUs a 2-thread pool made the direct
-and series maps slower (serial vs pooled: direct 3.1 vs 4.2 s, series
-1.0-1.5 vs 2.1-2.2 s) and left the integral map within noise (11-12 s
-either way).
+``z,rho,t,re,im,abs`` in z-major, then rho, order.  ``map`` evaluates its
+grid serially and reads no thread-count variable (BEAMKIT_THREADS is
+gone): every route holds the interpreter lock, and on the README grid with
+2 vCPUs a 2-thread pool made the direct and series maps slower (serial vs
+pooled: direct 3.1 vs 4.2 s, series 1.0-1.5 vs 2.1-2.2 s) and left the
+integral map within noise (11-12 s either way).
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 
@@ -77,17 +75,8 @@ class GridSpec:
 
 
 def _worker_count() -> int:
-    raw = os.environ.get("BEAMKIT_THREADS")
-    if raw is None:
-        return min(4, os.cpu_count() or 1)
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise ValueError(
-            f"BEAMKIT_THREADS must be a positive integer, got {raw!r}")
-    return n
+    """Threads ``map`` evaluates on: always 1, it runs serially."""
+    return 1
 
 
 def _dispersion_from_args(args):
@@ -147,7 +136,6 @@ def cmd_map(args) -> int:
                     rho_min=args.rho_min, rho_max=args.rho_max,
                     rho_steps=args.rho_steps, t=args.t)
     beam = BeamParams(omega=args.omega, cos_theta=args.cos_theta)
-    _worker_count()  # validated only; the map runs serially
 
     nan = float("nan")
     rows = []

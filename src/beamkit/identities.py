@@ -404,13 +404,9 @@ def bessel_beam_identity(omega_r: float, tol: float = 1e-8) -> IdentityReport:
 
     q = integrate_finite(integrand, -1.0, 1.0, tol=0.05 * tol)
 
-    n_max = truncation_order(omega_r)
-    while True:
-        seq = spherical_jn_sequence(n_max, omega_r).values
-        tail = 2.0 * (abs(seq[-1]) + abs(seq[-2]))
-        if tail <= 0.01 * tol or n_max >= 400:
-            break
-        n_max = int(1.3 * n_max) + 8
+    n_max = truncation_order(omega_r, 0.01 * tol)
+    seq = spherical_jn_sequence(n_max, omega_r).values
+    tail = 2.0 * (abs(seq[-1]) + abs(seq[-2]))
     orders = np.arange(n_max + 1)
     terms = 2.0 * (1j ** orders) * seq
     rhs = complex(np.sum(terms))

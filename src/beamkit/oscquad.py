@@ -12,7 +12,9 @@ Three layers:
   J_0 Fourier integral, used as an oracle by the wavepacket checks.
 
 Integrands are called with numpy arrays of abscissae and must evaluate
-elementwise.
+elementwise.  ``_k15`` is the one place that lays out Gauss-Kronrod nodes
+and calls an integrand, and each quadrature step makes one call: the first
+panel, both children of a bisection, or both sides of a cell pair.
 """
 from __future__ import annotations
 
@@ -88,15 +90,23 @@ _WK15 = np.concatenate([_WGK[:7], [_WGK[7]], _WGK[6::-1]])
 _WG7 = np.concatenate([_WG[:3], [_WG[3]], _WG[2::-1]])
 
 
-def _k15_panel(f, a: float, b: float):
-    """One K15 application on [a, b]: (kronrod, error)."""
-    c = 0.5 * (a + b)
+def _k15(f, a, b):
+    """K15 on the panels [a[i], b[i]] with one call of f: (h, fx), the
+    half-widths and the (panels, 15) table of integrand values."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
     h = 0.5 * (b - a)
-    fx = np.asarray(f(c + h * _NODES), dtype=complex)
+    x = (0.5 * (a + b))[:, None] + h[:, None] * _NODES
+    fx = np.asarray(f(x.ravel()), dtype=complex).reshape(x.shape)
+    return h, fx
+
+
+def _k15_error(h, fx):
+    """(kronrod, error) of one panel from its half-width and 15 values."""
     k = h * np.sum(_WK15 * fx)
     g = h * np.sum(_WG7 * fx[1::2])
     resabs = abs(h) * float(np.sum(_WK15 * np.abs(fx)))
-    mean = k / (b - a) if b != a else 0.0
+    mean = k / (2.0 * h) if h != 0 else 0.0
     resasc = abs(h) * float(np.sum(_WK15 * np.abs(fx - mean)))
     diff = abs(k - g)
     if resasc != 0.0 and diff != 0.0:
@@ -124,7 +134,8 @@ def integrate_finite(f: Callable, a: float, b: float, tol: float = 1e-10,
     if a == b:
         return QuadratureResult(value=0j, error_estimate=0.0, n_evals=0, converged=True)
 
-    val, err = _k15_panel(f, a, b)
+    h, fx = _k15(f, [a], [b])
+    val, err = _k15_error(h[0], fx[0])
     n_evals = 15
     # heap of (-error, tiebreak, a, b, value, error)
     heap = [(-err, 0, a, b, val, err)]
@@ -140,8 +151,9 @@ def integrate_finite(f: Callable, a: float, b: float, tol: float = 1e-10,
             heapq.heappush(heap, (0.0, seq, pa, pb, pval, perr))
             seq += 1
             continue
-        lv, le = _k15_panel(f, pa, mid)
-        rv, re_ = _k15_panel(f, mid, pb)
+        h, fx = _k15(f, [pa, mid], [mid, pb])
+        lv, le = _k15_error(h[0], fx[0])
+        rv, re_ = _k15_error(h[1], fx[1])
         n_evals += 30
         total_err += le + re_ - perr
         heapq.heappush(heap, (-le, seq, pa, mid, lv, le))
@@ -294,17 +306,6 @@ class _GeoNeville:
         return est, err
 
 
-def _k15_cells(f, edges: np.ndarray) -> complex:
-    """Sum of K15 panel integrals over consecutive [edges[i], edges[i+1]]."""
-    a = edges[:-1]
-    b = edges[1:]
-    c = 0.5 * (a + b)[:, None]
-    h = 0.5 * (b - a)[:, None]
-    x = c + h * _NODES[None, :]
-    fx = np.asarray(f(x.ravel()), dtype=complex).reshape(x.shape)
-    return complex(((h * _WK15[None, :]) * fx).sum())
-
-
 def integrate_oscillatory_infinite(f: Callable, period_hint: float,
                                    tol: float = 1e-9,
                                    max_cell_pairs: int = 640,
@@ -363,7 +364,12 @@ def integrate_oscillatory_infinite(f: Callable, period_hint: float,
 
     for k in range(max_cell_pairs):
         edges = np.linspace(k * half, (k + 1) * half, panels + 1)
-        cell = _k15_cells(f, edges) + _k15_cells(f, -edges[::-1])
+        back = -edges[::-1]
+        h, fx = _k15(f, np.concatenate([edges[:-1], back[:-1]]),
+                     np.concatenate([edges[1:], back[1:]]))
+        w = (h[:, None] * _WK15) * fx
+        # sum each side on its own; one sum over both rounds differently
+        cell = complex(w[:panels].sum()) + complex(w[panels:].sum())
         n_evals += 30 * panels
         total += cell
         if prev_cell is not None and cell != 0 and prev_cell != 0:

@@ -89,10 +89,10 @@ def xwave_closed_form(cos_theta: float, p: FieldPoint) -> float:
     """
     if not abs(cos_theta) <= 1:
         raise ValueError(f"cos_theta outside [-1, 1]: {cos_theta!r}")
-    st = np.sqrt(max(0.0, 1.0 - cos_theta * cos_theta))
+    st = math.sqrt(max(0.0, 1.0 - cos_theta * cos_theta))
     a = st * p.rho
     b = p.t - cos_theta * p.z
-    rad = float(a * a - b * b)
+    rad = a * a - b * b
     if not math.isfinite(rad):
         raise ValueError(f"support radicand is not finite: {rad!r}")
     if abs(rad) < BOUNDARY_GUARD:
@@ -100,7 +100,7 @@ def xwave_closed_form(cos_theta: float, p: FieldPoint) -> float:
             f"point sits on the singular support boundary (radicand {rad!r})")
     if rad < 0:
         return 0.0
-    return float(2.0 / np.sqrt(rad))
+    return 2.0 / math.sqrt(rad)
 
 
 def triple_sum_closed_form(a: ConeAngles) -> float:

@@ -6,6 +6,7 @@ import re
 import pytest
 
 import beamkit.cli as cli
+from beamkit.beamcore import BeamParams, FieldPoint, constant, eval_direct
 from beamkit.cli import GridSpec, main
 
 
@@ -101,6 +102,23 @@ class TestEval:
                    "--cos-theta", "0.5", "--dispersion", "constant"])
         assert rc == 2
 
+    def test_cauchy_dispersion_needs_cauchy_a(self, capsys):
+        rc = main(["eval", "--rep", "direct", "--omega", "1.0",
+                   "--cos-theta", "0.5", "--dispersion", "cauchy"])
+        assert rc == 2
+        assert "--cauchy-a" in capsys.readouterr().err
+
+    def test_constant_dispersion_value(self, capsys):
+        rc = main(["eval", "--rep", "direct", "--omega", "1.5",
+                   "--cos-theta", "0.6", "--z", "0.5", "--rho", "0.8",
+                   "--t", "0.3", "--dispersion", "constant", "--n0", "1.5"])
+        assert rc == 0
+        got = _parse_eval_line(capsys.readouterr().out.strip())
+        want = eval_direct(BeamParams(omega=1.5, cos_theta=0.6),
+                           FieldPoint(z=0.5, rho=0.8, t=0.3),
+                           medium=constant(1.5))
+        assert complex(got["re"], got["im"]) == want
+
     def test_cauchy_dispersion_runs(self, capsys):
         rc = main(["eval", "--rep", "direct", "--omega", "1.5",
                    "--cos-theta", "0.6", "--z", "0.5", "--rho", "0.8",
@@ -186,11 +204,6 @@ class TestMap:
         _, b = self._run(tmp_path, "csv")
         assert b.read_text() == text_a
 
-    def test_bad_thread_count_exit_2(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("BEAMKIT_THREADS", "0")
-        rc, _ = self._run(tmp_path, "csv")
-        assert rc == 2
-
     def test_unwritable_out_exit_2(self, tmp_path, capsys):
         rc = main(["map", "--rep", "direct", "--omega", "1.0",
                    "--cos-theta", "0.5", "--z-min", "0", "--z-max", "0",
@@ -251,6 +264,12 @@ class TestVerify:
         captured = capsys.readouterr()
         assert rc == 1
         assert "0/1 reports pass" in captured.err
+
+    def test_unwritable_out_exit_2(self, tmp_path, capsys):
+        rc = main(["verify", "--suite", "planewave",
+                   "--out", str(tmp_path / "no" / "dir" / "r.json")])
+        assert rc == 2
+        assert "cannot write" in capsys.readouterr().err
 
     def test_unknown_suite_exit_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -337,7 +356,9 @@ class TestXwaveCmd:
      "--z", "1e-200", "--t", "1e200"],
     ["eval", "--rep", "integral", "--omega", "1e200", "--cos-theta", "0.5",
      "--z", "1e-200", "--t", "1e200"],
+    ["eval", "--rep", "direct", "--omega", "nan", "--cos-theta", "0.5"],
 ])
+@pytest.mark.filterwarnings("error")
 def test_non_finite_input_exit_2(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()

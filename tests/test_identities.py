@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import beamkit.identities as idn
 from beamkit.beamcore import FieldPoint
 from beamkit.identities import (SUITE_NAMES, LegendreSpectrum,
                                 bessel_beam_identity, delta_kernel_test,
@@ -124,7 +125,10 @@ class TestJnNorm:
 
 
 class TestPlaneWave:
-    @pytest.mark.parametrize("x,cg", [(3.0, 0.2), (0.5, -0.9), (12.0, 0.0)])
+    # negative x flips the sign of the odd orders of j_n
+    @pytest.mark.parametrize("x,cg", [(3.0, 0.2), (0.5, -0.9), (12.0, 0.0),
+                                      (-0.5, 0.4), (-3.0, 0.2),
+                                      (-10.0, -0.6)])
     def test_expansion(self, x, cg):
         r = plane_wave_expansion_check(x, cg)
         _assert_ok(r)
@@ -197,6 +201,10 @@ class TestReportContract:
             assert r.to_json_dict()["rel_err"] is None
 
 
+_SUITE_SIZES = {"hochstadt": 30, "orthogonality": 31, "planewave": 6,
+                "triplesum": 40, "xwave": 20, "ftpair": 42}
+
+
 class TestSuites:
     def test_names_complete(self):
         assert set(SUITE_NAMES) == {
@@ -204,12 +212,22 @@ class TestSuites:
             "planewave", "beamidentity", "triplesum", "xwave"}
 
     @pytest.mark.parametrize("name", ["hochstadt", "orthogonality",
-                                      "planewave", "triplesum", "xwave"])
+                                      "planewave", "triplesum", "xwave",
+                                      "ftpair"])
     def test_fast_suites_all_pass(self, name):
         reports = run_suite(name)
-        assert reports
+        assert len(reports) == _SUITE_SIZES[name]
         for r in reports:
             _assert_ok(r)
+
+    def test_all_runs_suites_in_declaration_order(self, monkeypatch):
+        monkeypatch.setattr(idn, "_SUITES",
+                            {name: (lambda name=name: [name, name])
+                             for name in SUITE_NAMES})
+        assert SUITE_NAMES == ("stratton", "ftpair", "hochstadt",
+                               "orthogonality", "jnnorm", "planewave",
+                               "beamidentity", "triplesum", "xwave")
+        assert run_suite("all") == [n for n in SUITE_NAMES for _ in (0, 1)]
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError):

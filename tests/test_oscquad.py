@@ -12,6 +12,20 @@ from beamkit.oscquad import (QuadratureResult, integrate_finite,
 from beamkit.specfun import bessel_j0, spherical_jn
 
 
+class _Counting:
+    """Integrand wrapper that records the size of each call."""
+
+    def __init__(self, f):
+        self.f = f
+        self.sizes = []
+        self.calls = []
+
+    def __call__(self, x):
+        self.sizes.append(x.size)
+        self.calls.append(x)
+        return self.f(x)
+
+
 class TestFinite:
     def test_constant(self):
         r = integrate_finite(lambda a: np.ones_like(np.asarray(a)), -1, 1,
@@ -68,6 +82,29 @@ class TestFinite:
         r = integrate_finite(lambda a: np.asarray(a), 0, 1)
         assert isinstance(r.converged, bool)
 
+    def test_one_call_per_bisection(self):
+        f = _Counting(lambda a: np.cos(40.0 * a))
+        r = integrate_finite(f, 0, 1, tol=1e-12)
+        assert r.n_evals > 15
+        # the first panel, then both children of each bisection at once
+        assert len(f.sizes) == 1 + (r.n_evals - 15) // 30
+        assert f.sizes == [15] + [30] * (len(f.sizes) - 1)
+
+    def test_empty_interval_makes_no_call(self):
+        f = _Counting(np.exp)
+        r = integrate_finite(f, 0.5, 0.5)
+        assert r.value == 0 and r.n_evals == 0 and r.converged
+        assert f.sizes == []
+
+    def test_rounding_resolution_stops_bisection(self):
+        # the midpoint of two adjacent doubles is one of them: the panel
+        # cannot be split, so its error stays and no call follows the first
+        f = _Counting(np.exp)
+        r = integrate_finite(f, 1.0, math.nextafter(1.0, 2.0), tol=1e-300)
+        assert not r.converged
+        assert r.n_evals == 15
+        assert f.sizes == [15]
+
 
 def _jn_even(n):
     return lambda lam: spherical_jn(n, np.abs(lam))
@@ -110,6 +147,20 @@ class TestOscillatoryInfinite:
         r = integrate_oscillatory_infinite(_jn_even(0),
                                            period_hint=2 * np.pi, tol=1e-6)
         assert isinstance(r.converged, bool)
+
+    @pytest.mark.parametrize("beat_hint", [None, 2 * np.pi / (1 - 0.9)],
+                             ids=["half_period", "beat"])
+    def test_one_call_per_cell_pair(self, beat_hint):
+        f = _Counting(lambda lam: spherical_jn(0, np.abs(lam)))
+        r = integrate_oscillatory_infinite(f, period_hint=2 * np.pi,
+                                           tol=1e-9, beat_hint=beat_hint)
+        per_call = f.sizes[0]
+        assert per_call % 60 == 0  # 15 nodes x 2 sides x sub-panels
+        assert f.sizes == [per_call] * len(f.sizes)
+        assert r.n_evals == per_call * len(f.sizes)
+        # each call holds both sides of its cell pair, mirror images
+        for x in f.calls:
+            assert np.array_equal(np.sort(x[x > 0]), np.sort(-x[x < 0]))
 
     def test_stall_reports_nonconverged(self):
         # a constant-envelope cosine has no decaying tail to accelerate at
