@@ -42,7 +42,7 @@ from .oscquad import (integrate_finite, integrate_oscillatory_infinite,
 from .pwseries import truncation_order
 from .specfun import (bessel_j0, legendre_p, legendre_p_sequence, spherical_jn,
                       spherical_jn_sequence)
-from .wavepacket import (ConeAngles, triple_legendre_sum,
+from .wavepacket import (ConeAngles, _support_radicand, triple_legendre_sum,
                          triple_sum_closed_form, xwave_closed_form)
 from .beamcore import FieldPoint
 
@@ -101,22 +101,10 @@ class IdentityReport:
         }
 
 
-def _plain(v):
-    # numpy scalars leak in from quadrature results; JSON wants natives
-    if isinstance(v, np.bool_):
-        return bool(v)
-    if isinstance(v, np.integer):
-        return int(v)
-    if isinstance(v, np.floating):
-        return float(v)
-    return v
-
-
 def _report(identity_id: str, params: dict, lhs, rhs, tol: float,
             healthy: bool = True) -> IdentityReport:
     """Build a report; ``healthy=False`` (stalled quadrature etc.) forces
     ok=False no matter how small the gap looks."""
-    params = {k: _plain(v) for k, v in params.items()}
     lhs = complex(lhs)
     rhs = complex(rhs)
     abs_err = abs(lhs - rhs)
@@ -559,8 +547,7 @@ def _sample_triples(seed: int, n_interior: int, n_exterior: int,
     while len(interior) < n_interior or len(exterior) < n_exterior:
         ct, ce, cg = (float(v) for v in rng.uniform(-1.0, 1.0, size=3))
         ang = ConeAngles(ct, ce, cg)
-        d = ang.cos_eta * ang.cos_theta - ang.cos_gamma
-        rad = ang.sin_eta ** 2 * ang.sin_theta ** 2 - d * d
+        rad = _support_radicand(ang)
         if abs(rad) < min_radicand:
             continue
         if rad > 0 and len(interior) < n_interior:

@@ -58,16 +58,14 @@ def truncation_order(omega_r: float, tol: float = 1e-10) -> int:
     if tol <= 0:
         raise ValueError(f"tol must be positive: {tol!r}")
     base = max(10, int(np.ceil(x + 4.0 * x ** (1.0 / 3.0) + 10.0)))
-    if x == 0.0:
-        return base
     target = 0.01 * tol
     hi = base
     while True:
         hi = min(hi + 60, HARD_CAP)
         vals = spherical_jn_sequence(hi, x).values
-        for k in range(base, hi + 1):
-            if abs(vals[k]) < target:
-                return k
+        below = np.flatnonzero(np.abs(vals[base:]) < target)
+        if below.size:
+            return base + int(below[0])
         if hi >= HARD_CAP:
             return HARD_CAP
 

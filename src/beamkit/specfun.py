@@ -101,9 +101,10 @@ def legendre_p_sequence(n_max: int, x) -> RealSequence:
 # ----------------------------------------------------------------------------
 
 def _sph_j0(x):
-    # sin(x)/x, vectorized; np.sinc fills the removable singularity with
-    # exactly 1.0
-    return np.sinc(x / np.pi)
+    # sin(x)/x, scalar or array, exactly 1.0 at x = 0
+    x = np.asarray(x, dtype=float)
+    out = np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0)
+    return out if out.ndim else float(out)
 
 
 def _sph_j1(x):
@@ -121,9 +122,11 @@ def _miller_offset(n: int) -> int:
 
 
 # Below this one series term x^n/(2n+1)!! is exact to double precision
-# (the first correction is x^2/(2(2n+3)) < 1e-16), while the Miller
-# bookkeeping would overflow its rescale budget long before x reaches
-# the subnormal range.
+# (the first correction is x^2/(2(2n+3)) < 1e-16).  Miller itself fails
+# much further down: it checks the rescale only after each step, so one
+# step's growth (2k+1)/x must stay under 1.8e308/1e250 ~ 1.8e58, which
+# is guaranteed only for x > (2*start + 1) * 5.6e-59 (2.2e-56 at
+# n_max = 100; that table overflows between 1e-56 and 2e-57).
 _TINY_ARG = 1e-8
 
 
@@ -146,26 +149,23 @@ def _sph_sequence_miller(n_max: int, x: float) -> tuple[np.ndarray, tuple[int, .
     bp = 0.0  # b_{k+1}
     bc = 1.0  # b_k, arbitrary seed
     stored = np.zeros(n_max + 1)
-    rescales_at = np.zeros(n_max + 1, dtype=np.int64)
-    n_rescale = 0
     for k in range(start, -1, -1):
         if k <= n_max:
             stored[k] = bc
-            rescales_at[k] = n_rescale
         bn = (2 * k + 1) / x * bc - bp
         bp, bc = bc, bn
         if abs(bc) > 1e250:
+            # Rescale the stored entries with the running pair (stored[k]
+            # is the old bc, now bp), so every entry ends on the final
+            # scale.  An entry pushed below the subnormal range becomes
+            # 0.0; its value is far under the flush floor.
             bp *= 1e-250
             bc *= 1e-250
-            n_rescale += 1
-    # Each stored entry may predate some rescalings; bring all to the final
-    # scale before normalizing.
-    scale_fix = np.power(1e-250, (n_rescale - rescales_at).astype(float))
-    stored = stored * scale_fix
+            stored[k:] *= 1e-250
     # Normalize against whichever of j_0, j_1 is farther from a zero;
     # near x = k*pi (k >= 1) the j_0 ratio loses all significance.  Below
-    # x = 1 the sine is small too, but there sinc stays near 1 and j_0 is
-    # the well-conditioned anchor.
+    # x = 1 the sine is small too, but there sin(x)/x stays near 1 and
+    # j_0 is the well-conditioned anchor.
     if abs(np.sin(x)) >= 0.1 or x <= 1.0 or n_max < 1:
         ratio = _sph_j0(x) / stored[0]
     else:

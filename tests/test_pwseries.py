@@ -33,6 +33,19 @@ class TestTruncationOrder:
         n = truncation_order(50.0, tol=1e-12)
         assert abs(spherical_jn(n, 50.0)) < 1e-14
 
+    @pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-14])
+    @pytest.mark.parametrize("x", [0.0, 1e-3, 0.5, 7.0, 50.0, 300.0, 1000.0])
+    def test_first_order_below_target(self, x, tol):
+        # the returned order is the first one at or above the base whose
+        # |j_n| drops under 0.01*tol
+        from beamkit.specfun import spherical_jn_sequence
+        n = truncation_order(x, tol)
+        base = max(10, int(np.ceil(x + 4.0 * x ** (1.0 / 3.0) + 10.0)))
+        vals = np.abs(spherical_jn_sequence(n, x).values)
+        assert n >= base
+        assert vals[n] < 0.01 * tol
+        assert np.all(vals[base:n] >= 0.01 * tol)
+
 
 class TestEvalSeries:
     def test_origin_analytic(self):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from beamkit.specfun import (RealSequence, bessel_j0, legendre_p,
+from beamkit.specfun import (RealSequence, _sph_j0, bessel_j0, legendre_p,
                              legendre_p_sequence, spherical_jn,
                              spherical_jn_sequence)
 
@@ -95,13 +95,23 @@ _JN_ORACLES = [
     (60, 10.0, 7.882678576494136001371e-42),
     (100, 200.0, -0.00193609723624755679774),
     (250, 200.0, 1.562200220785384442274e-13),
+    # Miller tables rescaled twice after these orders were stored
+    (29, 4.434036222049022e-08, 1.9568744207401295751e-254),
+    (52, 0.0003857364484650062, 1.0311891517970687786e-262),
 ]
 
 
 class TestSphericalBessel:
-    def test_j0_closed_form(self):
-        assert spherical_jn(0, 2.0) == pytest.approx(math.sin(2.0) / 2.0,
-                                                     rel=1e-15)
+    @pytest.mark.parametrize("x", [2.0, 123.456, 2000.5])
+    def test_j0_closed_form(self, x):
+        assert spherical_jn(0, x) == pytest.approx(math.sin(x) / x,
+                                                   rel=1e-15, abs=0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_j0_helper_is_one_at_zero(self):
+        assert _sph_j0(0.0) == 1.0
+        assert type(_sph_j0(0.0)) is float
+        assert list(_sph_j0(np.array([0.0, 0.0]))) == [1.0, 1.0]
 
     def test_j1_closed_form(self):
         expected = math.sin(2.0) / 4.0 - math.cos(2.0) / 2.0
@@ -218,6 +228,14 @@ class TestSphericalBessel:
         assert spherical_jn(n, x) == pytest.approx(expected, rel=1e-12, abs=0)
         assert spherical_jn_sequence(n, x).values[n] == pytest.approx(
             expected, rel=1e-12, abs=0)
+
+    def test_miller_entry_survives_two_rescales(self):
+        # stored before the last two rescales of the downward sweep;
+        # value frozen from a 40-digit oracle
+        seq = spherical_jn_sequence(233, 1.4799266345558913e-07)
+        assert seq.values[30] == pytest.approx(7.1822555027062299348e-248,
+                                               rel=1e-12, abs=0)
+        assert 30 not in seq.flushed
 
     def test_tiny_argument_sequence(self):
         # at x = 1e-100 only the first three orders are representable
