@@ -16,8 +16,10 @@ number round-trips exactly; CSV field maps carry the fixed header
 grid serially and reads no thread-count variable (BEAMKIT_THREADS is
 gone): every route holds the interpreter lock, and on the README grid with
 2 vCPUs a 2-thread pool made the direct and series maps slower (serial vs
-pooled: direct 3.1 vs 4.2 s, series 1.0-1.5 vs 2.1-2.2 s) and left the
-integral map within noise (11-12 s either way).
+pooled: series 1.0-1.5 vs 2.1-2.2 s) and left the integral map within
+noise (11-12 s either way).  The direct map now takes 0.33-0.52 s
+serially, process wall (3.0-3.5 s before its scalar J_0 ran in Python
+floats).
 """
 from __future__ import annotations
 

@@ -55,10 +55,12 @@ def truncation_order(omega_r: float, tol: float = 1e-10) -> int:
     if not (x >= 0 and math.isfinite(x)):
         raise ValueError(
             f"omega_r must be finite and nonnegative: {omega_r!r}")
-    if tol <= 0:
-        raise ValueError(f"tol must be positive: {tol!r}")
-    base = max(10, int(np.ceil(x + 4.0 * x ** (1.0 / 3.0) + 10.0)))
+    # NaN fails this too; so does a tol whose target rounds to 0, which no
+    # |j_n| can fall under short of HARD_CAP
     target = 0.01 * tol
+    if not target > 0:
+        raise ValueError(f"tol must be positive with 0.01*tol > 0: {tol!r}")
+    base = max(10, int(np.ceil(x + 4.0 * x ** (1.0 / 3.0) + 10.0)))
     hi = base
     while True:
         hi = min(hi + 60, HARD_CAP)

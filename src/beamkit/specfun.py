@@ -10,7 +10,11 @@ arrays, orders along axis 0.  ``legendre_p``, ``legendre_p_sequence`` and
 ``spherical_jn`` also take an array x.  A scalar x recurs in Python floats:
 on one abscissa that is an order of magnitude faster than numpy rows (P_0
 .. P_70: 22 us vs 380 us on a 2-vCPU Xeon, numpy 2.4), and the
-partial-wave series route calls it per point.
+partial-wave series route calls it per point.  A scalar J_0 likewise
+recurs in Python floats through the same two branch functions as an
+array, bit for bit equal to the array entry and 16-22x faster than a
+one-element array (x = 2: 51 us vs 1140 us; x = 100: 7 us vs 114 us);
+the direct route calls it per point.
 """
 from __future__ import annotations
 
@@ -246,7 +250,7 @@ def spherical_jn(n: int, x):
 _SQ2OPI = 7.9788456080286535587989e-1  # sqrt(2/pi)
 _PIO4 = 7.85398163397448309616e-1
 
-_PP = np.array([
+_PP = (
     7.96936729297347051624e-4,
     8.28352392107440799803e-2,
     1.23953371646414299388e0,
@@ -254,8 +258,8 @@ _PP = np.array([
     8.74716500199817011941e0,
     5.30324038235394892183e0,
     9.99999999999999997821e-1,
-])
-_PQ = np.array([
+)
+_PQ = (
     9.24408810558863637013e-4,
     8.56288474354474431428e-2,
     1.25352743901058953537e0,
@@ -263,8 +267,8 @@ _PQ = np.array([
     8.76190883237069594232e0,
     5.30605288235394617618e0,
     1.00000000000000000218e0,
-])
-_QP = np.array([
+)
+_QP = (
     -1.13663838898469149931e-2,
     -1.28252718670509318512e0,
     -1.95539544257735972385e1,
@@ -273,8 +277,8 @@ _QP = np.array([
     -1.47077505154951170175e2,
     -5.14105326766599330220e1,
     -6.05014350600728481186e0,
-])
-_QQ = np.array([  # leading coefficient 1.0 implicit
+)
+_QQ = (  # leading coefficient 1.0 implicit
     6.43178256118178023184e1,
     8.56430025976980587198e2,
     3.88240183605401609683e3,
@@ -282,7 +286,7 @@ _QQ = np.array([  # leading coefficient 1.0 implicit
     5.93072701187316984827e3,
     2.06209331660327847417e3,
     2.42005740240291393179e2,
-])
+)
 
 _DD_SPLIT = 134217729.0  # 2**27 + 1, Dekker splitter
 
@@ -338,21 +342,21 @@ def _j0_series(x):
     """
     qh, ql = _two_prod(x, x)
     qh, ql = qh * 0.25, ql * 0.25
-    sh = np.ones_like(x)
-    sl = np.zeros_like(x)
-    th, tl = sh.copy(), sl.copy()
+    # the sum starts at the float 1 + 0 and broadcasts on an array x
+    sh, sl = th, tl = 1.0, 0.0
+    scalar = np.ndim(x) == 0
     for k in range(1, 80):
         th, tl = _dd_mul(th, tl, qh, ql)
         th, tl = _dd_div_f(th, tl, float(k * k))
         th, tl = -th, -tl
         sh, sl = _dd_add(sh, sl, th, tl)
-        if np.max(np.abs(th)) <= 1e-22:
+        if (abs(th) if scalar else np.max(np.abs(th))) <= 1e-22:
             break
     return sh + sl
 
 
 def _polevl(x, coef):
-    ans = np.full_like(x, coef[0])
+    ans = coef[0]
     for c in coef[1:]:
         ans = ans * x + c
     return ans
@@ -379,17 +383,25 @@ def _j0_asymptotic(x):
 def bessel_j0(x):
     """Bessel function of the first kind, order zero.
 
-    Accepts scalars or arrays.  Absolute accuracy ~1e-13 over |x| <= 500;
-    the representation switches from the ascending series to the Hankel
-    asymptotic form at |x| = 12.
+    Accepts scalars or arrays; NaN and +-inf raise ``ValueError``.
+    Absolute accuracy ~1e-13 over |x| <= 500; the representation switches
+    from the ascending series to the Hankel asymptotic form at |x| = 12.
+    A scalar goes straight to its branch in Python floats, with no array
+    and no masks (51 us at x = 2, 7 us at x = 100; see the module
+    docstring), and equals the array entry bit for bit.
     """
+    if np.ndim(x) == 0:
+        ax = abs(float(x))
+        if not math.isfinite(ax):
+            raise ValueError(f"J_0 argument must be finite: x={x!r}")
+        return float(_j0_series(ax) if ax < 12.0 else _j0_asymptotic(ax))
     arr = np.abs(np.asarray(x, dtype=float))
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("array x holds a non-finite entry")
     out = np.empty_like(arr)
     small = arr < 12.0
     if np.any(small):
         out[small] = _j0_series(arr[small])
     if np.any(~small):
         out[~small] = _j0_asymptotic(arr[~small])
-    return float(out[0]) if scalar else out
+    return out

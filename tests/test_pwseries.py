@@ -46,6 +46,16 @@ class TestTruncationOrder:
         assert vals[n] < 0.01 * tol
         assert np.all(vals[base:n] >= 0.01 * tol)
 
+    @pytest.mark.parametrize("tol", [float("nan"), 1e-323])
+    def test_refuses_tol_without_target(self, tol):
+        # NaN, and a tol whose 0.01*tol rounds to 0.0, leave no order that
+        # could end the scan short of HARD_CAP
+        with pytest.raises(ValueError, match="tol"):
+            truncation_order(1.0, tol)
+
+    def test_tiny_tol_still_works(self):
+        assert truncation_order(1.0, 1e-300) == 147
+
 
 class TestEvalSeries:
     def test_origin_analytic(self):
@@ -104,6 +114,20 @@ class TestEvalSeries:
         assert not res.converged
         assert res.n_terms == HARD_CAP + 1
         assert elapsed < 1.0
+
+    @pytest.mark.parametrize("tol", [float("nan"), 1e-323])
+    def test_refuses_tol_without_target(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            eval_series(BeamParams(omega=1.0, cos_theta=0.5),
+                        FieldPoint(z=0.5, rho=0.5, t=0.0), tol=tol)
+
+    def test_tiny_tol_converges(self):
+        b = BeamParams(omega=1.0, cos_theta=0.5)
+        p = FieldPoint(z=0.5, rho=0.5, t=0.0)
+        res = eval_series(b, p, tol=1e-300)
+        assert res.converged
+        assert res.n_terms < 200
+        assert abs(res.value - eval_direct(b, p)) <= 1e-14
 
     @given(omega=st.floats(-12, 12, **_finite),
            ct=st.floats(-1, 1, **_finite),

@@ -260,6 +260,28 @@ _J0_ORACLES = [
 ]
 
 
+# bessel_j0 outputs frozen by repr; the scalar and the array path must
+# both keep every bit
+_J0_FROZEN = [
+    (0.0, 1.0),
+    (1e-09, 1.0),
+    (0.5, 0.9384698072408129),
+    (1.0, 0.7651976865579666),
+    (2.404825557695773, -6.108765259322015e-17),
+    (5.3, -0.07580311158558423),
+    (8.0, 0.1716508071375539),
+    (11.9, 0.025049441699589645),
+    (11.999999999999998, 0.04768931079683314),
+    (12.0, 0.04768931079683335),
+    (12.001, 0.04791272471031469),
+    (30.0, -0.08636798358104031),
+    (100.0, 0.01998585030422333),
+    (250.75, 0.010379829431036549),
+    (499.5, -0.024901316934300484),
+    (-7.25, 0.291996924191779),
+]
+
+
 class TestBesselJ0:
     @pytest.mark.parametrize("x,expected", _J0_ORACLES)
     def test_oracle_values(self, x, expected):
@@ -278,6 +300,35 @@ class TestBesselJ0:
         assert out.shape == xs.shape
         for x, v in zip(xs, out):
             assert v == bessel_j0(float(x))
+
+    @pytest.mark.parametrize("x,expected", _J0_FROZEN)
+    def test_frozen_bits(self, x, expected):
+        assert bessel_j0(x) == expected
+        assert bessel_j0(np.array([x]))[0] == expected
+
+    def test_scalar_matches_array_bitwise(self):
+        # both branches, the 12.0 switch and negative x; the array's early
+        # exit of the series reads its whole branch, the scalar's one term
+        rng = np.random.default_rng(7)
+        xs = np.concatenate([rng.uniform(0.0, 12.0, 2000),
+                             rng.uniform(12.0, 500.0, 500),
+                             [0.0, np.nextafter(12.0, 0.0), 12.0, 500.0,
+                              -0.75, -np.nextafter(12.0, 0.0), -12.0, -250.5]])
+        scalar = np.array([bessel_j0(float(x)) for x in xs])
+        assert np.array_equal(scalar.view(np.int64),
+                              bessel_j0(xs).view(np.int64))
+
+    def test_scalar_returns_float(self):
+        for x in (3.0, 30.0, np.float64(3.0), np.array(30.0)):
+            assert type(bessel_j0(x)) is float
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_refused(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            bessel_j0(bad)
+        with pytest.raises(ValueError, match="finite"):
+            bessel_j0(np.array([1.0, bad, 20.0]))
 
     @given(x=st.floats(-500.0, 500.0))
     @settings(max_examples=200, deadline=None)
