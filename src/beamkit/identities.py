@@ -241,15 +241,13 @@ def legendre_ft_pair(n: int, beta: float, tol: float = 1e-8) -> IdentityReport:
         raise ValueError(
             f"beta must lie strictly inside (-1, 1): {beta!r}")
 
-    def f(lam):
-        lam = np.asarray(lam, dtype=float)
-        return _jn_signed(n, lam) * np.exp(1j * beta * lam)
-
     margin = 1.0 - abs(beta)
     beat = 2.0 * np.pi / margin if margin > 1e-12 else None
-    q = integrate_oscillatory_infinite(f, period_hint=2.0 * np.pi,
+    q = integrate_oscillatory_infinite(lambda lam: _jn_signed(n, lam),
+                                       period_hint=2.0 * np.pi,
                                        tol=0.5 * np.pi * tol,
-                                       tail_start=float(n), beat_hint=beat)
+                                       tail_start=float(n), beat_hint=beat,
+                                       carrier=beta)
     lhs = ((-1j) ** n / np.pi) * q.value
     rhs = legendre_p(n, beta)
     params = {"n": n, "beta": float(beta),

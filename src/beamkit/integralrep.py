@@ -7,7 +7,9 @@ The same field as the direct and series forms, written as a line integral
 with mu = |omega|*r and R the chord distance sqrt(lambda^2 + mu^2 -
 2*lambda*mu*cos theta).  The integrand decays only like 1/|lambda|, so the
 integral exists as a symmetric limit and is handled by the accelerated
-oscillatory engine.
+oscillatory engine.  The engine is handed the real factor j_0(R) and the
+carrier frequency cos eta: it folds exp(i*lambda*cos eta) into its cell
+weights, so no complex exponential is evaluated per node.
 
 On the axis (|cos eta| = 1) the symmetric limit of the lambda-integral is
 exactly half the field: j_n under the integral is the Fourier transform of
@@ -66,7 +68,7 @@ def _rep_integral(mu: float, cos_theta: float, cos_eta: float, tol: float,
     """The lambda-integral divided by pi, for mu > 0, |cos_eta| < 1."""
 
     def integrand(lam):
-        return _sph_j0(compute_R(lam, mu, cos_theta)) * np.exp(1j * cos_eta * lam)
+        return _sph_j0(compute_R(lam, mu, cos_theta))
 
     delta = 1.0 - abs(cos_eta)
     # the integrand carries phases (1 +- cos_eta)*lambda at large |lambda|;
@@ -76,7 +78,7 @@ def _rep_integral(mu: float, cos_theta: float, cos_eta: float, tol: float,
     res = integrate_oscillatory_infinite(
         integrand, period_hint=2.0 * np.pi, tol=tol * np.pi,
         max_cell_pairs=max_cell_pairs,
-        tail_start=mu + np.pi, beat_hint=beat)
+        tail_start=mu + np.pi, beat_hint=beat, carrier=cos_eta)
     return QuadratureResult(value=res.value / np.pi,
                             error_estimate=res.error_estimate / np.pi,
                             n_evals=res.n_evals, converged=res.converged)
@@ -93,6 +95,8 @@ def eval_integral_rep(b: BeamParams, p: FieldPoint, tol: float = 1e-9,
     mu = n(omega)*|omega|*r.  Non-convergence is reported through the
     flag, never raised.
     """
+    if not tol > 0:
+        raise ValueError(f"tol must be positive: {tol!r}")
     sph = to_spherical(p)
     mu = medium.evaluate(b.omega) * abs(b.omega) * sph.r
     if not (math.isfinite(mu) and math.isfinite(b.omega * p.t)):

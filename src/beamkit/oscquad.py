@@ -5,23 +5,29 @@ Three layers:
 * ``integrate_finite``: adaptive Gauss-Kronrod 7/15 on a finite interval,
   classic globally-adaptive bisection with a worst-panel heap.
 * ``integrate_oscillatory_infinite``: symmetric improper integrals of slowly
-  decaying oscillatory integrands, done as expanding half-period cell pairs
-  fed into two sequence accelerators (Wynn epsilon and a polynomial
-  extrapolation in 1/n on a geometric node schedule).
+  decaying oscillatory integrands, optionally times a plane-wave carrier
+  ``exp(i*c*x)``, done as expanding half-period cell pairs fed into two
+  sequence accelerators (Wynn epsilon and a polynomial extrapolation in 1/n
+  on a geometric node schedule).
 * ``regularized_j0_fourier``: closed form for the exponentially regularized
   J_0 Fourier integral, used as an oracle by the wavepacket checks.
 
 Integrands are called with numpy arrays of abscissae and must evaluate
-elementwise.  ``_k15`` is the one place that lays out Gauss-Kronrod nodes
-and calls an integrand, and each quadrature step makes one call: the first
-panel, both children of a bisection, or both sides of a cell pair.
+elementwise.  ``_k15_nodes`` is the one place that lays out Gauss-Kronrod
+nodes, and each quadrature step makes one integrand call: the first panel
+or both children of a bisection (through ``_k15``), or both sides of a cell
+pair.  The cell loop lays out cell 0 once and shifts its nodes by the cell
+offset, so a carrier folds into fixed weights and costs one phase per cell
+pair instead of one complex exponential per node.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable
 
+import cmath
 import heapq
+import math
 
 import numpy as np
 
@@ -90,13 +96,19 @@ _WK15 = np.concatenate([_WGK[:7], [_WGK[7]], _WGK[6::-1]])
 _WG7 = np.concatenate([_WG[:3], [_WG[3]], _WG[2::-1]])
 
 
-def _k15(f, a, b):
-    """K15 on the panels [a[i], b[i]] with one call of f: (h, fx), the
-    half-widths and the (panels, 15) table of integrand values."""
+def _k15_nodes(a, b):
+    """K15 layout of the panels [a[i], b[i]]: (h, x), the half-widths and
+    the (panels, 15) table of abscissae."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     h = 0.5 * (b - a)
-    x = (0.5 * (a + b))[:, None] + h[:, None] * _NODES
+    return h, (0.5 * (a + b))[:, None] + h[:, None] * _NODES
+
+
+def _k15(f, a, b):
+    """K15 on the panels [a[i], b[i]] with one call of f: (h, fx), the
+    half-widths and the (panels, 15) table of integrand values."""
+    h, x = _k15_nodes(a, b)
     fx = np.asarray(f(x.ravel()), dtype=complex).reshape(x.shape)
     return h, fx
 
@@ -131,6 +143,8 @@ def integrate_finite(f: Callable, a: float, b: float, tol: float = 1e-10,
         raise ValueError(f"endpoints must be finite: a={a!r}, b={b!r}")
     if a > b:
         raise ValueError(f"reversed interval: a={a!r} > b={b!r}")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive: {tol!r}")
     if a == b:
         return QuadratureResult(value=0j, error_estimate=0.0, n_evals=0, converged=True)
 
@@ -310,8 +324,9 @@ def integrate_oscillatory_infinite(f: Callable, period_hint: float,
                                    tol: float = 1e-9,
                                    max_cell_pairs: int = 640,
                                    tail_start: float = 0.0,
-                                   beat_hint: float | None = None) -> QuadratureResult:
-    """Symmetric improper integral of an oscillatory integrand over the line.
+                                   beat_hint: float | None = None, *,
+                                   carrier: float = 0.0) -> QuadratureResult:
+    """Symmetric improper integral of ``f(x) * exp(i*carrier*x)`` over the line.
 
     The integral is taken as the limit of symmetric partial integrals over
     [-k*L, k*L] with L a half-period multiple, and the limit reached by
@@ -339,11 +354,19 @@ def integrate_oscillatory_infinite(f: Callable, period_hint: float,
         envelope alternates sign cell-to-cell, which the epsilon table
         removes; half-period cells would leave it near ratio one, where
         acceleration stalls.
+    carrier : float
+        Frequency c of a plane-wave factor ``exp(i*c*x)`` that multiplies f.
+        f is then evaluated without it: every node of cell k is a node of
+        cell 0 shifted by ``k*L``, so the factor folds into cell 0's
+        weights once and each cell pair needs one phase ``exp(i*c*k*L)``.
+        The default 0 integrates f itself.
     """
     if period_hint <= 0:
         raise ValueError(f"period_hint must be positive: {period_hint!r}")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError(f"tol must be positive: {tol!r}")
+    if not math.isfinite(carrier):
+        raise ValueError(f"carrier must be finite: {carrier!r}")
     base_half = 0.5 * period_hint
     cells_per_side = 1
     if beat_hint is not None and beat_hint > 2.0 * period_hint:
@@ -351,6 +374,14 @@ def integrate_oscillatory_infinite(f: Callable, period_hint: float,
     half = cells_per_side * base_half
     panels = 2 * cells_per_side  # sub-panel width base_half / 2
     k0 = int(np.ceil(tail_start / half)) if tail_start > 0 else 0
+    # cell 0 (positive side): nodes x0 and the carrier folded into weights
+    edges = np.linspace(0.0, half, panels + 1)
+    h, x0 = _k15_nodes(edges[:-1], edges[1:])
+    x0 = x0.ravel()
+    n = x0.size
+    w_right = (h[:, None] * _WK15).ravel() * np.exp(1j * carrier * x0)
+    # the left side's carrier is the conjugate of the right side's
+    w_left = w_right.conj()
 
     total = 0j
     n_evals = 0
@@ -363,14 +394,12 @@ def integrate_oscillatory_infinite(f: Callable, period_hint: float,
     same_dir = 0.0  # running cosine between successive cell contributions
 
     for k in range(max_cell_pairs):
-        edges = np.linspace(k * half, (k + 1) * half, panels + 1)
-        back = -edges[::-1]
-        h, fx = _k15(f, np.concatenate([edges[:-1], back[:-1]]),
-                     np.concatenate([edges[1:], back[1:]]))
-        w = (h[:, None] * _WK15) * fx
-        # sum each side on its own; one sum over both rounds differently
-        cell = complex(w[:panels].sum()) + complex(w[panels:].sum())
-        n_evals += 30 * panels
+        right = k * half + x0
+        fx = np.asarray(f(np.concatenate([right, -right])))
+        phase = cmath.exp(1j * carrier * k * half)
+        cell = (phase * complex(fx[:n] @ w_right)
+                + phase.conjugate() * complex(fx[n:] @ w_left))
+        n_evals += 2 * n
         total += cell
         if prev_cell is not None and cell != 0 and prev_cell != 0:
             cosang = (cell * prev_cell.conjugate()).real / (abs(cell) * abs(prev_cell))

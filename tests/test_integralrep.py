@@ -139,6 +139,27 @@ class TestConvergenceReporting:
         res = eval_integral_rep(b, FieldPoint(0.5, 0.9, 0.0))
         assert type(res.converged) is bool
 
+    @pytest.mark.parametrize("rho", [2.0, 0.0], ids=["off_axis", "axis"])
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-9])
+    def test_bad_tol_raises(self, tol, rho):
+        # a NaN tolerance used to spend ~20x the evals of tol=1e-10 and
+        # come back converged=False; the analytic branches refuse it too
+        b = BeamParams(omega=3.0, cos_theta=0.7)
+        with pytest.raises(ValueError):
+            eval_integral_rep(b, FieldPoint(z=1.0, rho=rho, t=0.0), tol=tol)
+
+
+class TestReadmeRow:
+    def test_z3_row_matches_direct(self):
+        # the README map's z = 3 row; rho = 0.1 is its costliest point
+        # (about 1.4M evals), where the beat cells are widest
+        b = BeamParams(omega=6.0, cos_theta=0.8)
+        for rho in np.linspace(0.0, 4.0, 41):
+            p = FieldPoint(z=3.0, rho=float(rho), t=0.0)
+            res = eval_integral_rep(b, p)
+            assert res.converged, rho
+            assert abs(res.value - eval_direct(b, p)) <= 1e-9, rho
+
 
 class TestDispersive:
     def test_vacuum_identical(self):

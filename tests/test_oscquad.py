@@ -82,6 +82,15 @@ class TestFinite:
         r = integrate_finite(lambda a: np.asarray(a), 0, 1)
         assert isinstance(r.converged, bool)
 
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-10])
+    def test_bad_tol_raises_before_any_call(self, tol):
+        # no error sum can fall under a NaN tolerance: refuse it rather
+        # than spend the whole budget and report converged=False
+        f = _Counting(lambda a: a * a)
+        with pytest.raises(ValueError):
+            integrate_finite(f, 0.0, 1.0, tol=tol)
+        assert f.sizes == []
+
     def test_one_call_per_bisection(self):
         f = _Counting(lambda a: np.cos(40.0 * a))
         r = integrate_finite(f, 0, 1, tol=1e-12)
@@ -147,6 +156,47 @@ class TestOscillatoryInfinite:
         r = integrate_oscillatory_infinite(_jn_even(0),
                                            period_hint=2 * np.pi, tol=1e-6)
         assert isinstance(r.converged, bool)
+
+    def test_nan_tol_raises(self):
+        f = _Counting(_jn_even(0))
+        with pytest.raises(ValueError):
+            integrate_oscillatory_infinite(f, period_hint=2 * np.pi,
+                                           tol=math.nan)
+        assert f.sizes == []
+
+    @pytest.mark.parametrize("carrier", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_carrier_raises(self, carrier):
+        f = _Counting(_jn_even(0))
+        with pytest.raises(ValueError):
+            integrate_oscillatory_infinite(f, period_hint=2 * np.pi,
+                                           carrier=carrier)
+        assert f.sizes == []
+
+    @pytest.mark.parametrize("c,beat", [(0.4, False), (-0.4, False),
+                                        (0.9, True)],
+                             ids=["c=0.4", "c=-0.4", "c=0.9_beat"])
+    @pytest.mark.parametrize("complex_g", [False, True],
+                             ids=["real_g", "complex_g"])
+    def test_carrier_matches_explicit_factor(self, c, beat, complex_g):
+        # g e^{icx} with the carrier folded into the weights agrees with
+        # the same product evaluated node by node; both sit on the Fourier
+        # pair Int j_n(x) e^{icx} dx = pi i^n P_n(c) for |c| < 1
+        def g(lam):
+            lam = np.asarray(lam, dtype=float)
+            j0 = spherical_jn(0, np.abs(lam))
+            return j0 + 0.5j * spherical_jn(2, np.abs(lam)) if complex_g else j0
+
+        tol = 1e-9
+        kw = dict(period_hint=2 * np.pi, tol=tol,
+                  beat_hint=2 * np.pi / (1 - abs(c)) if beat else None)
+        folded = integrate_oscillatory_infinite(g, carrier=c, **kw)
+        explicit = integrate_oscillatory_infinite(
+            lambda lam: g(lam) * np.exp(1j * c * lam), **kw)
+        assert folded.converged and explicit.converged
+        assert abs(folded.value - explicit.value) <= tol
+        p2 = 0.5 * (3.0 * c * c - 1.0)
+        exact = np.pi * (1.0 - 0.5j * p2) if complex_g else np.pi
+        assert abs(folded.value - exact) <= tol
 
     @pytest.mark.parametrize("beat_hint", [None, 2 * np.pi / (1 - 0.9)],
                              ids=["half_period", "beat"])
