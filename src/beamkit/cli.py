@@ -18,8 +18,9 @@ gone): every route holds the interpreter lock, and on the README grid with
 2 vCPUs a 2-thread pool made the direct and series maps slower (serial vs
 pooled: series 1.0-1.5 vs 2.1-2.2 s) and left the integral map within
 noise.  Serially, process wall, the direct map takes 0.33-0.52 s (3.0-3.5 s
-before its scalar J_0 ran in Python floats) and the integral map 3.9-5.8 s
-(7.8-10.2 s on the same host before the quadrature took the carrier
+before its scalar J_0 ran in Python floats) and the integral map 3.7-4.3 s
+(4.5-5.6 s on the same host, alternating runs, before the quadrature
+evaluated its cell pairs in batches; 7.8-10.2 s before it took the carrier
 exp(i*lambda*cos eta) out of its cells).
 """
 from __future__ import annotations

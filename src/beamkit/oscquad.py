@@ -15,19 +15,23 @@ Three layers:
 Integrands are called with numpy arrays of abscissae and must evaluate
 elementwise.  ``_k15_nodes`` is the one place that lays out Gauss-Kronrod
 nodes, and each quadrature step makes one integrand call: the first panel
-or both children of a bisection (through ``_k15``), or both sides of a cell
-pair.  The cell loop lays out cell 0 once and shifts its nodes by the cell
-offset, so a carrier folds into fixed weights and costs one phase per cell
-pair instead of one complex exponential per node.
+or both children of a bisection (through ``_k15``), or a batch of whole
+cell pairs, both sides of each, up to about ``_BATCH_NODES`` nodes (one pair
+when a pair alone holds more).  The cell loop lays out cell 0 once and
+shifts its nodes by the cell offsets, so a carrier folds into fixed weights
+and costs one phase per cell pair instead of one complex exponential per
+node; the cells of a batch are summed by one real matrix product against
+the weights' real and imaginary parts and then fed to the accelerators one
+by one.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable
 
-import cmath
 import heapq
 import math
+import numbers
 
 import numpy as np
 
@@ -40,9 +44,14 @@ __all__ = [
 
 _EPMACH = float(np.finfo(float).eps)
 _OFLOW = float(np.finfo(float).max)
+_COFLOW = complex(_OFLOW)
+_EPS5 = 5.0 * _EPMACH  # rounding floor of an extrapolated value, per |value|
 # geometric node schedule of the 1/n extrapolation: ratio and length
 _NEVILLE_RATIO = 1.3
 _NEVILLE_NODES = 16
+# nodes per integrand call of the cell loop: whole cell pairs up to this
+# many, and one pair when a single pair holds more
+_BATCH_NODES = 2048
 
 
 @dataclass(frozen=True)
@@ -200,44 +209,53 @@ class _Epsilon:
         self.nres = 0
 
     def append(self, s: complex):
+        # Lean but bit for bit the dqelg step: ``b if b > a else a`` is
+        # ``max(a, b)`` (NaN included), and the two shifts are forward
+        # copies from higher indices, so slice copies read the same values.
         t = self.tab
-        if self.n >= self._LIMEXP + 2:
+        n = self.n
+        if n >= self._LIMEXP + 2:
             # only reachable through repeated machine-accuracy exits (a
             # numerically constant sequence); restart from the tail
-            t[1], t[2] = t[self.n - 1], t[self.n]
-            self.n = 2
-        self.n += 1
-        n = self.n
+            t[1], t[2] = t[n - 1], t[n]
+            n = 2
+        n += 1
+        self.n = n
         t[n] = s
+        if n < 3:
+            return s, _OFLOW
+        epmach = _EPMACH
         result = s
         abserr = _OFLOW
-        if n < 3:
-            return result, abserr
-        t[n + 2] = t[n]
+        t[n + 2] = s
         newelm = (n - 1) // 2
-        t[n] = complex(_OFLOW)
+        t[n] = _COFLOW
         num = n
         k1 = n
         for i in range(1, newelm + 1):
-            k2, k3 = k1 - 1, k1 - 2
             res = t[k1 + 2]
-            e0, e1, e2 = t[k3], t[k2], res
+            e0 = t[k1 - 2]
+            e1 = t[k1 - 1]
             e1abs = abs(e1)
-            delta2 = e2 - e1
+            delta2 = res - e1
             err2 = abs(delta2)
-            tol2 = max(abs(e2), e1abs) * _EPMACH
+            a = abs(res)
+            tol2 = (e1abs if e1abs > a else a) * epmach
             delta3 = e1 - e0
             err3 = abs(delta3)
-            tol3 = max(e1abs, abs(e0)) * _EPMACH
+            a = abs(e0)
+            tol3 = (a if a > e1abs else e1abs) * epmach
             if err2 <= tol2 and err3 <= tol3:
                 # sequence has hit machine accuracy
-                self.n = n
-                return res, max(err2 + err3, 5.0 * _EPMACH * abs(res))
+                a = err2 + err3
+                floor = _EPS5 * abs(res)
+                return res, (floor if floor > a else a)
             e3 = t[k1]
             t[k1] = e1
             delta1 = e1 - e3
             err1 = abs(delta1)
-            tol1 = max(e1abs, abs(e3)) * _EPMACH
+            a = abs(e3)
+            tol1 = (a if a > e1abs else e1abs) * epmach
             if err1 <= tol1 or err2 <= tol2 or err3 <= tol3:
                 # two adjacent elements indistinguishable: truncate table
                 n = 2 * i - 1
@@ -247,6 +265,7 @@ class _Epsilon:
                 # irregular behaviour: truncate
                 n = 2 * i - 1
                 break
+            e2 = res
             res = e1 + 1.0 / ss
             t[k1] = res
             k1 -= 2
@@ -257,25 +276,23 @@ class _Epsilon:
         if n == self._LIMEXP:
             n = 2 * (self._LIMEXP // 2) - 1
         ib = 2 if num % 2 == 0 else 1
-        for _ in range(newelm + 1):
-            t[ib] = t[ib + 2]
-            ib += 2
+        ie = ib + 2 * newelm
+        t[ib:ie + 1:2] = t[ib + 2:ie + 3:2]
         if num != n:
             indx = num - n + 1
-            for i in range(1, n + 1):
-                t[i] = t[indx]
-                indx += 1
+            t[1:n + 1] = t[indx:indx + n]
         self.n = n
+        r = self.res3la
         if self.nres < 3:
-            self.res3la[self.nres] = result
-            self.nres += 1
+            r[self.nres] = result
             abserr = _OFLOW
         else:
-            abserr = (abs(result - self.res3la[2]) + abs(result - self.res3la[1])
-                      + abs(result - self.res3la[0]))
-            self.res3la = [self.res3la[1], self.res3la[2], result]
-            self.nres += 1
-        return result, max(abserr, 5.0 * _EPMACH * abs(result))
+            abserr = (abs(result - r[2]) + abs(result - r[1])
+                      + abs(result - r[0]))
+            r[0], r[1], r[2] = r[1], r[2], result
+        self.nres += 1
+        floor = _EPS5 * abs(result)
+        return result, (floor if floor > abserr else abserr)
 
 
 class _GeoNeville:
@@ -292,7 +309,7 @@ class _GeoNeville:
         k = max(k0, 2)
         for _ in range(_NEVILLE_NODES):
             self.sched.append(k)
-            k = int(np.ceil(k * _NEVILLE_RATIO)) + 1
+            k = math.ceil(k * _NEVILLE_RATIO) + 1
         self.x: list[float] = []
         self.row: list[complex] = []
         self.last: complex | None = None
@@ -333,27 +350,37 @@ def integrate_oscillatory_infinite(f: Callable, period_hint: float,
     sequence acceleration (epsilon algorithm plus 1/n polynomial
     extrapolation, whichever claims the smaller error).
 
+    Cell pairs are evaluated in batches: one call of f holds the right
+    sides of ``max(1, _BATCH_NODES // (2*n))`` consecutive cell pairs (n
+    nodes a side), then their mirror images, and never reaches past
+    ``max_cell_pairs``.  The accelerators still see one cell at a time, so a
+    batch only changes how many cells are evaluated, never where the loop
+    stops; ``n_evals`` counts every node evaluated, including the cells of
+    the last batch that lie past the stopping cell.
+
     Parameters
     ----------
     f : callable
         Vectorized integrand; called with arrays of abscissae.
     period_hint : float
-        Dominant oscillation period of f at large argument.
+        Dominant oscillation period of f at large argument; finite, > 0.
     tol : float
         Absolute tolerance on the accelerated limit.
     max_cell_pairs : int
-        Budget of symmetric cells; with the default half-period cells this
-        covers per-side ranges up to ``max_cell_pairs * period_hint / 2``.
+        Budget of symmetric cells, an int >= 1; with the default half-period
+        cells this covers per-side ranges up to
+        ``max_cell_pairs * period_hint / 2``.
     tail_start : float
         Extrapolation only trusts partial sums whose cells lie beyond this
-        abscissa; the pre-asymptotic head (where the integrand has not yet
-        settled into its periodic tail) otherwise poisons both tables.
+        (finite) abscissa; the pre-asymptotic head (where the integrand has
+        not yet settled into its periodic tail) otherwise poisons both
+        tables.
     beat_hint : float, optional
         Secondary (beat) period for integrands carrying two close
         frequencies.  Cells are widened to half the beat so the slow
         envelope alternates sign cell-to-cell, which the epsilon table
         removes; half-period cells would leave it near ratio one, where
-        acceleration stalls.
+        acceleration stalls.  Finite and > 0 when given.
     carrier : float
         Frequency c of a plane-wave factor ``exp(i*c*x)`` that multiplies f.
         f is then evaluated without it: every node of cell k is a node of
@@ -361,8 +388,19 @@ def integrate_oscillatory_infinite(f: Callable, period_hint: float,
         weights once and each cell pair needs one phase ``exp(i*c*k*L)``.
         The default 0 integrates f itself.
     """
-    if period_hint <= 0:
-        raise ValueError(f"period_hint must be positive: {period_hint!r}")
+    if not 0.0 < period_hint < math.inf:
+        raise ValueError(
+            f"period_hint must be finite and positive: {period_hint!r}")
+    if beat_hint is not None and not 0.0 < beat_hint < math.inf:
+        raise ValueError(
+            f"beat_hint must be finite and positive: {beat_hint!r}")
+    if not math.isfinite(tail_start):
+        raise ValueError(f"tail_start must be finite: {tail_start!r}")
+    if (isinstance(max_cell_pairs, bool)
+            or not isinstance(max_cell_pairs, numbers.Integral)
+            or max_cell_pairs < 1):
+        raise ValueError(
+            f"max_cell_pairs must be an int >= 1: {max_cell_pairs!r}")
     if not tol > 0:
         raise ValueError(f"tol must be positive: {tol!r}")
     if not math.isfinite(carrier):
@@ -370,18 +408,23 @@ def integrate_oscillatory_infinite(f: Callable, period_hint: float,
     base_half = 0.5 * period_hint
     cells_per_side = 1
     if beat_hint is not None and beat_hint > 2.0 * period_hint:
-        cells_per_side = min(int(np.ceil(0.5 * beat_hint / base_half)), 512)
+        cells_per_side = min(math.ceil(0.5 * beat_hint / base_half), 512)
     half = cells_per_side * base_half
     panels = 2 * cells_per_side  # sub-panel width base_half / 2
-    k0 = int(np.ceil(tail_start / half)) if tail_start > 0 else 0
+    k0 = math.ceil(tail_start / half) if tail_start > 0 else 0
     # cell 0 (positive side): nodes x0 and the carrier folded into weights
     edges = np.linspace(0.0, half, panels + 1)
     h, x0 = _k15_nodes(edges[:-1], edges[1:])
     x0 = x0.ravel()
     n = x0.size
-    w_right = (h[:, None] * _WK15).ravel() * np.exp(1j * carrier * x0)
-    # the left side's carrier is the conjugate of the right side's
-    w_left = w_right.conj()
+    w = (h[:, None] * _WK15).ravel() * np.exp(1j * carrier * x0)
+    # w as the real (n, 2) matrix [Re w, Im w]: a cell sum is then a real
+    # product with two columns, which OpenBLAS keeps on one thread, where a
+    # complex matrix-vector product over a near-axis pair (15360 nodes a
+    # side) is split across threads and slows down several-fold whenever
+    # another process holds the second core
+    w_parts = np.column_stack([w.real, w.imag])
+    batch = max(1, _BATCH_NODES // (2 * n))
 
     total = 0j
     n_evals = 0
@@ -393,41 +436,53 @@ def integrate_oscillatory_infinite(f: Callable, period_hint: float,
     prev_cell: complex | None = None
     same_dir = 0.0  # running cosine between successive cell contributions
 
-    for k in range(max_cell_pairs):
-        right = k * half + x0
-        fx = np.asarray(f(np.concatenate([right, -right])))
-        phase = cmath.exp(1j * carrier * k * half)
-        cell = (phase * complex(fx[:n] @ w_right)
-                + phase.conjugate() * complex(fx[n:] @ w_left))
-        n_evals += 2 * n
-        total += cell
-        if prev_cell is not None and cell != 0 and prev_cell != 0:
-            cosang = (cell * prev_cell.conjugate()).real / (abs(cell) * abs(prev_cell))
-            same_dir = 0.8 * same_dir + 0.2 * cosang
-        if k >= k0:
-            n_fed += 1
-            value, err = eps_tab.append(total)
-            if same_dir > 0.3:
-                # one-sided (non-alternating) approach: the remaining tail
-                # is at least ~|cell|*k/2, whatever the epsilon table says.
-                # Its three-result agreement test is blind to slow monotone
-                # creep, where it happily claims 1e-8 while sitting 1e-4 off.
-                err = max(err, 0.5 * abs(cell) * (k + 1))
-            cand = [(err, value)]
-            g = neville.maybe_append(k + 1, total)
-            if g is not None:
-                cand.append((g[1], g[0]))
-            err, value = min(cand, key=lambda c: c[0])
-            if n_fed >= 4 and err < best_err:
-                # a growing cell magnitude means the integrand is still
-                # waking up; distrust whatever the tables claim there
-                growing = (prev_cell is not None
-                           and abs(cell) > 4.0 * abs(prev_cell) + 1e-300)
-                if not growing:
-                    best, best_err = value, err
-            if best_err <= tol:
-                break
-        prev_cell = cell
+    k = 0
+    done = False
+    while not done and k < max_cell_pairs:
+        # cell pairs k .. k+m-1 in one call: their right sides, then the
+        # mirror images; cells past a break are evaluated and counted
+        ks = np.arange(k, min(k + batch, max_cell_pairs))
+        right = (ks * half)[:, None] + x0
+        fx = f(np.concatenate([right.ravel(), -right.ravel()]))
+        sides = np.asarray(fx).reshape(2, ks.size, n)
+        n_evals += 2 * right.size
+        sums = sides @ w_parts
+        # the left side's carrier is the conjugate of the right side's
+        plus = sums[0, :, 0] + 1j * sums[0, :, 1]
+        minus = sums[1, :, 0] - 1j * sums[1, :, 1]
+        phase = np.exp(1j * carrier * ks * half)
+        cells = phase * plus + phase.conj() * minus
+        for cell in cells.tolist():
+            total += cell
+            if prev_cell is not None and cell != 0 and prev_cell != 0:
+                cosang = ((cell * prev_cell.conjugate()).real
+                          / (abs(cell) * abs(prev_cell)))
+                same_dir = 0.8 * same_dir + 0.2 * cosang
+            if k >= k0:
+                n_fed += 1
+                value, err = eps_tab.append(total)
+                if same_dir > 0.3:
+                    # one-sided (non-alternating) approach: the remaining
+                    # tail is at least ~|cell|*k/2, whatever the epsilon
+                    # table says.  Its three-result agreement test is blind
+                    # to slow monotone creep, where it happily claims 1e-8
+                    # while sitting 1e-4 off.
+                    err = max(err, 0.5 * abs(cell) * (k + 1))
+                g = neville.maybe_append(k + 1, total)
+                if g is not None and g[1] < err:
+                    value, err = g
+                if n_fed >= 4 and err < best_err:
+                    # a growing cell magnitude means the integrand is still
+                    # waking up; distrust whatever the tables claim there
+                    growing = (prev_cell is not None
+                               and abs(cell) > 4.0 * abs(prev_cell) + 1e-300)
+                    if not growing:
+                        best, best_err = value, err
+                if best_err <= tol:
+                    done = True
+                    break
+            prev_cell = cell
+            k += 1
 
     if best is None:
         return QuadratureResult(value=total, error_estimate=_OFLOW,
