@@ -17,11 +17,12 @@ grid serially and reads no thread-count variable (BEAMKIT_THREADS is
 gone): every route holds the interpreter lock, and on the README grid with
 2 vCPUs a 2-thread pool made the direct and series maps slower (serial vs
 pooled: series 1.0-1.5 vs 2.1-2.2 s) and left the integral map within
-noise.  Serially, process wall, the direct map takes 0.33-0.52 s (3.0-3.5 s
-before its scalar J_0 ran in Python floats) and the integral map 3.7-4.3 s
-(4.5-5.6 s on the same host, alternating runs, before the quadrature
-evaluated its cell pairs in batches; 7.8-10.2 s before it took the carrier
-exp(i*lambda*cos eta) out of its cells).
+noise.  Serially, process wall, the direct map takes 0.36-0.39 s (0.51-0.53 s
+on the same host, alternating runs, before J_0 dropped its double-double
+series; 3.0-3.5 s before its scalar J_0 ran in Python floats) and the
+integral map 3.7-4.3 s (4.5-5.6 s on the same host, alternating runs,
+before the quadrature evaluated its cell pairs in batches; 7.8-10.2 s
+before it took the carrier exp(i*lambda*cos eta) out of its cells).
 """
 from __future__ import annotations
 

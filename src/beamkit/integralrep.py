@@ -28,7 +28,8 @@ import numpy as np
 
 from .beamcore import (_VACUUM, BeamParams, DispersionModel, FieldPoint,
                        to_spherical)
-from .oscquad import QuadratureResult, integrate_oscillatory_infinite
+from .oscquad import (QuadratureResult, _check_cell_budget,
+                      integrate_oscillatory_infinite)
 from .specfun import _sph_j0
 
 __all__ = [
@@ -93,10 +94,12 @@ def eval_integral_rep(b: BeamParams, p: FieldPoint, tol: float = 1e-9,
     conjugation (the spatial integrand depends on omega only through
     mu = |omega|*r).  A medium enters only through
     mu = n(omega)*|omega|*r.  Non-convergence is reported through the
-    flag, never raised.
+    flag, never raised.  ``tol`` and ``max_cell_pairs`` are checked at every
+    point, the analytic origin and axis included.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive: {tol!r}")
+    _check_cell_budget(max_cell_pairs)
     sph = to_spherical(p)
     mu = medium.evaluate(b.omega) * abs(b.omega) * sph.r
     if not (math.isfinite(mu) and math.isfinite(b.omega * p.t)):

@@ -337,6 +337,15 @@ class _GeoNeville:
         return est, err
 
 
+def _check_cell_budget(max_cell_pairs) -> None:
+    # an int >= 1: bool and float refused, numpy ints accepted
+    if (isinstance(max_cell_pairs, bool)
+            or not isinstance(max_cell_pairs, numbers.Integral)
+            or max_cell_pairs < 1):
+        raise ValueError(
+            f"max_cell_pairs must be an int >= 1: {max_cell_pairs!r}")
+
+
 def integrate_oscillatory_infinite(f: Callable, period_hint: float,
                                    tol: float = 1e-9,
                                    max_cell_pairs: int = 640,
@@ -396,11 +405,7 @@ def integrate_oscillatory_infinite(f: Callable, period_hint: float,
             f"beat_hint must be finite and positive: {beat_hint!r}")
     if not math.isfinite(tail_start):
         raise ValueError(f"tail_start must be finite: {tail_start!r}")
-    if (isinstance(max_cell_pairs, bool)
-            or not isinstance(max_cell_pairs, numbers.Integral)
-            or max_cell_pairs < 1):
-        raise ValueError(
-            f"max_cell_pairs must be an int >= 1: {max_cell_pairs!r}")
+    _check_cell_budget(max_cell_pairs)
     if not tol > 0:
         raise ValueError(f"tol must be positive: {tol!r}")
     if not math.isfinite(carrier):
@@ -505,9 +510,11 @@ def regularized_j0_fourier(a: float, b: float, eps: float) -> float:
     outside, which is what makes it a useful independent oracle for the
     sharp-support closed forms.
     """
-    if a <= 0:
-        raise ValueError(f"a must be positive: {a!r}")
-    if eps <= 0:
-        raise ValueError(f"eps must be positive: {eps!r}")
+    if not 0.0 < a < math.inf:
+        raise ValueError(f"a must be finite and positive: {a!r}")
+    if not math.isfinite(b):
+        raise ValueError(f"b must be finite: {b!r}")
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be finite and positive: {eps!r}")
     w = complex(eps, -float(b))
     return float((2.0 / np.sqrt(a * a + w * w)).real)

@@ -3,18 +3,19 @@
 Everything here is self-contained (no scipy dependency).  Accuracy targets:
 Legendre values are exact to rounding via the three-term recurrence,
 spherical j_n is good to ~1e-12 relative over n <= 250, x <= 200, and J_0
-holds ~1e-13 absolute over |x| <= 500.
+holds 1.3e-15 absolute over |x| <= 500 (5e-16 up to |x| = 12).
 
 P_n and j_n are computed here and nowhere else.  Sequences are float64
 arrays, orders along axis 0.  ``legendre_p``, ``legendre_p_sequence`` and
 ``spherical_jn`` also take an array x.  A scalar x recurs in Python floats:
 on one abscissa that is an order of magnitude faster than numpy rows (P_0
 .. P_70: 22 us vs 380 us on a 2-vCPU Xeon, numpy 2.4), and the
-partial-wave series route calls it per point.  A scalar J_0 likewise
-recurs in Python floats through the same two branch functions as an
-array, bit for bit equal to the array entry and 16-22x faster than a
-one-element array (x = 2: 51 us vs 1140 us; x = 100: 7 us vs 114 us);
-the direct route calls it per point.
+partial-wave series route calls it per point.  J_0 is two Cephes
+rational fits, one per branch, each a fixed handful of multiply-adds.  A
+scalar runs them in Python floats, bit for bit equal to the array entry
+and an order of magnitude faster than a one-element array (x = 2: 3-5 us
+vs 50-55 us; x = 100: 5-8 us vs 83-100 us); the direct route calls it
+per point.
 """
 from __future__ import annotations
 
@@ -242,9 +243,9 @@ def spherical_jn(n: int, x):
 
 
 # ----------------------------------------------------------------------------
-# J_0: double-double ascending series below |x| = 12, Hankel asymptotic
-# beyond.  Coefficient tables for the asymptotic part are the classic
-# Cephes minimax fits (Moshier, 1984-1989 releases).
+# J_0: Cephes rational fit in x^2 up to |x| = 5, Hankel asymptotic form
+# beyond.  Both coefficient sets are the classic Cephes minimax fits of
+# j0.c (Moshier, 1984-1989 releases).
 # ----------------------------------------------------------------------------
 
 _SQ2OPI = 7.9788456080286535587989e-1  # sqrt(2/pi)
@@ -287,72 +288,25 @@ _QQ = (  # leading coefficient 1.0 implicit
     2.06209331660327847417e3,
     2.42005740240291393179e2,
 )
-
-_DD_SPLIT = 134217729.0  # 2**27 + 1, Dekker splitter
-
-
-def _two_sum(a, b):
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _two_prod(a, b):
-    p = a * b
-    ca = _DD_SPLIT * a
-    ahi = ca - (ca - a)
-    alo = a - ahi
-    cb = _DD_SPLIT * b
-    bhi = cb - (cb - b)
-    blo = b - bhi
-    err = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
-    return p, err
-
-
-def _dd_renorm(hi, lo):
-    s = hi + lo
-    return s, lo - (s - hi)
-
-
-def _dd_add(xh, xl, yh, yl):
-    s, e = _two_sum(xh, yh)
-    return _dd_renorm(s, e + xl + yl)
-
-
-def _dd_mul(xh, xl, yh, yl):
-    p, e = _two_prod(xh, yh)
-    return _dd_renorm(p, e + xh * yl + xl * yh)
-
-
-def _dd_div_f(xh, xl, f):
-    # Full-precision division by an ordinary double: correct the first
-    # quotient with the exactly computed remainder.
-    q1 = xh / f
-    p, e = _two_prod(q1, f)
-    rh, rl = _dd_add(xh, xl, -p, -e)
-    return _dd_renorm(q1, (rh + rl) / f)
-
-
-def _j0_series(x):
-    """Ascending series in double-double arithmetic; |x| < 12.
-
-    The alternating terms reach ~4e3 at x = 12 while the sum is O(1e-2),
-    so plain doubles would lose ~5 digits to cancellation.  Double-double
-    keeps the absolute error near 1e-27.
-    """
-    qh, ql = _two_prod(x, x)
-    qh, ql = qh * 0.25, ql * 0.25
-    # the sum starts at the float 1 + 0 and broadcasts on an array x
-    sh, sl = th, tl = 1.0, 0.0
-    scalar = np.ndim(x) == 0
-    for k in range(1, 80):
-        th, tl = _dd_mul(th, tl, qh, ql)
-        th, tl = _dd_div_f(th, tl, float(k * k))
-        th, tl = -th, -tl
-        sh, sl = _dd_add(sh, sl, th, tl)
-        if (abs(th) if scalar else np.max(np.abs(th))) <= 1e-22:
-            break
-    return sh + sl
+_RP = (
+    -4.79443220978201773821e9,
+    1.95617491946556577543e12,
+    -2.49248344360967716204e14,
+    9.70862251047306323952e15,
+)
+_RQ = (  # leading coefficient 1.0 implicit
+    4.99563147152651017219e2,
+    1.73785401676374683123e5,
+    4.84409658339962045305e7,
+    1.11855537045356834862e10,
+    2.11277520115489217587e12,
+    3.10518229857422583814e14,
+    3.18121955943204943306e16,
+    1.71086294081043136091e18,
+)
+# squares of the first two zeros of J_0, factored out of the fit
+_DR1 = 5.78318596294678452118e0
+_DR2 = 3.04712623436620863991e1
 
 
 def _polevl(x, coef):
@@ -369,8 +323,14 @@ def _p1evl(x, coef):
     return ans
 
 
+def _j0_small(x):
+    """Cephes rational fit in z = x^2; |x| <= 5."""
+    z = x * x
+    return (z - _DR1) * (z - _DR2) * _polevl(z, _RP) / _p1evl(z, _RQ)
+
+
 def _j0_asymptotic(x):
-    """Hankel expansion with Cephes rational fits; x >= 12."""
+    """Hankel expansion with Cephes rational fits; x > 5."""
     w = 5.0 / x
     q = w * w
     p = _polevl(q, _PP) / _polevl(q, _PQ)
@@ -384,24 +344,26 @@ def bessel_j0(x):
     """Bessel function of the first kind, order zero.
 
     Accepts scalars or arrays; NaN and +-inf raise ``ValueError``.
-    Absolute accuracy ~1e-13 over |x| <= 500; the representation switches
-    from the ascending series to the Hankel asymptotic form at |x| = 12.
-    A scalar goes straight to its branch in Python floats, with no array
-    and no masks (51 us at x = 2, 7 us at x = 100; see the module
-    docstring), and equals the array entry bit for bit.
+    |x| <= 5 takes Cephes' rational fit in x^2 with the first two zeros
+    factored out, |x| > 5 the Hankel asymptotic form.  Largest absolute
+    error against 40-digit mpmath, 22000 points per range: 4.4e-16 on
+    [0, 5), 2.8e-16 on [5, 12), 1.3e-15 on [12, 500].  A scalar goes
+    straight to its branch in Python floats, with no array and no masks
+    (3-5 us at x = 2, 5-8 us at x = 8 and x = 100, 2-vCPU Xeon), and
+    equals the array entry bit for bit.
     """
     if np.ndim(x) == 0:
         ax = abs(float(x))
         if not math.isfinite(ax):
             raise ValueError(f"J_0 argument must be finite: x={x!r}")
-        return float(_j0_series(ax) if ax < 12.0 else _j0_asymptotic(ax))
+        return float(_j0_small(ax) if ax <= 5.0 else _j0_asymptotic(ax))
     arr = np.abs(np.asarray(x, dtype=float))
     if not np.all(np.isfinite(arr)):
         raise ValueError("array x holds a non-finite entry")
     out = np.empty_like(arr)
-    small = arr < 12.0
+    small = arr <= 5.0
     if np.any(small):
-        out[small] = _j0_series(arr[small])
+        out[small] = _j0_small(arr[small])
     if np.any(~small):
         out[~small] = _j0_asymptotic(arr[~small])
     return out

@@ -50,7 +50,8 @@ BOUNDARY_GUARD = 1e-14
 
 @dataclass(frozen=True)
 class ConeAngles:
-    """Three direction cosines; gamma may lie outside [-1, 1]."""
+    """Three direction cosines; gamma may lie outside [-1, 1], even at
+    +-inf, but not be NaN."""
 
     cos_theta: float
     cos_eta: float
@@ -61,6 +62,8 @@ class ConeAngles:
             raise ValueError(f"cos_theta outside [-1, 1]: {self.cos_theta!r}")
         if not abs(self.cos_eta) <= 1:
             raise ValueError(f"cos_eta outside [-1, 1]: {self.cos_eta!r}")
+        if math.isnan(self.cos_gamma):
+            raise ValueError("cos_gamma is NaN")
 
     @property
     def sin_theta(self) -> float:

@@ -148,6 +148,25 @@ class TestConvergenceReporting:
         with pytest.raises(ValueError):
             eval_integral_rep(b, FieldPoint(z=1.0, rho=rho, t=0.0), tol=tol)
 
+    @pytest.mark.parametrize("z,rho", [(0.0, 0.0), (1.0, 0.0), (1.0, 2.0)],
+                             ids=["origin", "axis", "off_axis"])
+    @pytest.mark.parametrize("budget", [0, -3, True, 2.0, None])
+    def test_bad_cell_budget_raises(self, budget, z, rho):
+        # the analytic origin and axis used to return converged=True for a
+        # budget the engine refuses off the axis
+        b = BeamParams(omega=3.0, cos_theta=0.7)
+        with pytest.raises(ValueError, match="max_cell_pairs"):
+            eval_integral_rep(b, FieldPoint(z=z, rho=rho, t=0.0),
+                              max_cell_pairs=budget)
+
+    @pytest.mark.parametrize("z,rho", [(0.0, 0.0), (1.0, 0.0), (1.0, 2.0)],
+                             ids=["origin", "axis", "off_axis"])
+    def test_numpy_int_budget_accepted(self, z, rho):
+        b = BeamParams(omega=3.0, cos_theta=0.7)
+        p = FieldPoint(z=z, rho=rho, t=0.0)
+        res = eval_integral_rep(b, p, max_cell_pairs=np.int64(640))
+        assert res == eval_integral_rep(b, p)
+
 
 class TestReadmeRow:
     def test_z3_row_matches_direct(self):

@@ -440,6 +440,16 @@ class TestRegularizedFourier:
         with pytest.raises(ValueError):
             regularized_j0_fourier(1.0, 0.5, 0.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("a,b,eps", [
+        (math.nan, 0.0, 1.0), (1.0, math.nan, 1.0), (1.0, 0.0, math.nan),
+        (math.inf, 0.0, 1.0), (1.0, math.inf, 1.0), (1.0, -math.inf, 1.0),
+        (1.0, 0.0, math.inf)])
+    def test_non_finite_refused(self, a, b, eps):
+        # NaN used to come back as nan with a RuntimeWarning, a = inf as 0.0
+        with pytest.raises(ValueError, match="finite"):
+            regularized_j0_fourier(a, b, eps)
+
 
 class TestQuadratureResult:
     def test_fields(self):

@@ -247,16 +247,29 @@ class TestSphericalBessel:
         assert set(seq.flushed) == {3, 4, 5}
 
 
-# frozen 40-digit values
+# frozen 40-digit values, rounded to 22 digits.  The first block is J_0 at
+# the decimal x as written; the zeros and the points around 5.0 are J_0 at
+# the exact double x (the decimal and the double differ there by more than
+# the accuracy under test).
 _J0_ORACLES = [
     (0.0, 1.0),
     (1.0, 0.7651976865579665514497),
     (5.3, -0.0758031115855841600626),
     (11.9, 0.02504944169958956372832),
-    (11.999, 0.04746583057345654736286),   # just under the series/asymptotic split
-    (12.001, 0.04791272471031461825779),   # just over it
+    (11.999, 0.04746583057345654736286),   # either side of 12, where the
+    (12.001, 0.04791272471031461825779),   # split used to be
     (100.0, 0.01998585030422312242423),
     (499.5, -0.02490131693430113452428),
+    # the first four zeros
+    (2.404825557695773, -6.108765259736730397082e-17),
+    (5.520078110286311, -2.752264943262183147206e-17),
+    (8.653727912911013, -7.948465570525161599982e-17),
+    (11.791534439014281, -6.538994895807815285223e-17),
+    # just under, at and just over the split between the small-argument
+    # fit and the asymptotic form
+    (4.999999999999999, -0.1775967713143385952961),
+    (5.0, -0.1775967713143383043474),
+    (5.000000000000001, -0.1775967713143380133987),
 ]
 
 
@@ -265,20 +278,20 @@ _J0_ORACLES = [
 _J0_FROZEN = [
     (0.0, 1.0),
     (1e-09, 1.0),
-    (0.5, 0.9384698072408129),
-    (1.0, 0.7651976865579666),
-    (2.404825557695773, -6.108765259322015e-17),
+    (0.5, 0.938469807240813),
+    (1.0, 0.7651976865579665),
+    (2.404825557695773, -9.586882554916807e-17),
     (5.3, -0.07580311158558423),
     (8.0, 0.1716508071375539),
-    (11.9, 0.025049441699589645),
-    (11.999999999999998, 0.04768931079683314),
+    (11.9, 0.02504944169958986),
+    (11.999999999999998, 0.04768931079683335),
     (12.0, 0.04768931079683335),
     (12.001, 0.04791272471031469),
     (30.0, -0.08636798358104031),
     (100.0, 0.01998585030422333),
     (250.75, 0.010379829431036549),
     (499.5, -0.024901316934300484),
-    (-7.25, 0.291996924191779),
+    (-7.25, 0.29199692419177903),
 ]
 
 
@@ -286,6 +299,12 @@ class TestBesselJ0:
     @pytest.mark.parametrize("x,expected", _J0_ORACLES)
     def test_oracle_values(self, x, expected):
         assert bessel_j0(x) == pytest.approx(expected, abs=1e-13)
+
+    @pytest.mark.parametrize(
+        "x,expected", [(x, e) for x, e in _J0_ORACLES if abs(x) <= 12.0])
+    def test_oracle_values_to_rounding(self, x, expected):
+        # the two rational fits hold J_0 to a few units in the last place
+        assert bessel_j0(x) == pytest.approx(expected, abs=5e-16)
 
     def test_even_symmetry(self):
         assert bessel_j0(-5.3) == bessel_j0(5.3)
@@ -307,12 +326,14 @@ class TestBesselJ0:
         assert bessel_j0(np.array([x]))[0] == expected
 
     def test_scalar_matches_array_bitwise(self):
-        # both branches, the 12.0 switch and negative x; the array's early
-        # exit of the series reads its whole branch, the scalar's one term
+        # both branches, the split at 5.0, the old split at 12.0 and
+        # negative x
         rng = np.random.default_rng(7)
         xs = np.concatenate([rng.uniform(0.0, 12.0, 2000),
                              rng.uniform(12.0, 500.0, 500),
-                             [0.0, np.nextafter(12.0, 0.0), 12.0, 500.0,
+                             [0.0, np.nextafter(5.0, 0.0), 5.0,
+                              np.nextafter(5.0, 6.0),
+                              np.nextafter(12.0, 0.0), 12.0, 500.0,
                               -0.75, -np.nextafter(12.0, 0.0), -12.0, -250.5]])
         scalar = np.array([bessel_j0(float(x)) for x in xs])
         assert np.array_equal(scalar.view(np.int64),

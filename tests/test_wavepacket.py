@@ -31,6 +31,19 @@ class TestConeAngles:
         a = _angles(0.0, 0.0, 5.0)
         assert a.cos_gamma == 5.0
 
+    @pytest.mark.filterwarnings("error")
+    def test_nan_cos_gamma_refused(self):
+        # triple_sum_closed_form used to return nan for it
+        with pytest.raises(ValueError, match="NaN"):
+            _angles(0.2, 0.3, math.nan)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("cg", [math.inf, -math.inf])
+    def test_infinite_cos_gamma_lies_outside_support(self, cg):
+        a = _angles(0.2, 0.3, cg)
+        assert support_predicate(a) is False
+        assert triple_sum_closed_form(a) == 0.0
+
 
 class TestSupportPredicate:
     # radicand = sin^2(eta) sin^2(theta) - (cos eta cos theta - cos gamma)^2
