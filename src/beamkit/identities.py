@@ -242,7 +242,9 @@ def legendre_ft_pair(n: int, beta: float, tol: float = 1e-8) -> IdentityReport:
             f"beta must lie strictly inside (-1, 1): {beta!r}")
 
     margin = 1.0 - abs(beta)
-    beat = 2.0 * np.pi / margin if margin > 1e-12 else None
+    # a beat past the budget is still passed on, as in the integral route:
+    # half-period cells would converge to the edge's midpoint, P_n / 2
+    beat = 2.0 * np.pi / margin
     q = integrate_oscillatory_infinite(lambda lam: _jn_signed(n, lam),
                                        period_hint=2.0 * np.pi,
                                        tol=0.5 * np.pi * tol,

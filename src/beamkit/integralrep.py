@@ -7,7 +7,10 @@ The same field as the direct and series forms, written as a line integral
 with mu = |omega|*r and R the chord distance sqrt(lambda^2 + mu^2 -
 2*lambda*mu*cos theta).  The integrand decays only like 1/|lambda|, so the
 integral exists as a symmetric limit and is handled by the accelerated
-oscillatory engine.  The engine is handed the real factor j_0(R) and the
+oscillatory engine.  Off the beam's own axis (|cos theta| < 1) the chord is
+R = sqrt((lambda - m)^2 + beta^2) with m = mu*cos theta and beta^2 =
+mu^2*(1 - cos theta^2), never below beta > 0, so j_0(R) is sin(R)/R with
+no zero to mask.  The engine is handed the real factor j_0(R) and the
 carrier frequency cos eta: it folds exp(i*lambda*cos eta) into its cell
 weights, so no complex exponential is evaluated per node.
 
@@ -68,14 +71,32 @@ def _rep_integral(mu: float, cos_theta: float, cos_eta: float, tol: float,
                   max_cell_pairs: int) -> QuadratureResult:
     """The lambda-integral divided by pi, for mu > 0, |cos_eta| < 1."""
 
-    def integrand(lam):
-        return _sph_j0(compute_R(lam, mu, cos_theta))
+    m = mu * cos_theta
+    beta2 = mu * mu * ((1.0 - cos_theta) * (1.0 + cos_theta))
+    if beta2 > 0.0:
+        def integrand(lam):
+            # R = sqrt((lam - m)^2 + beta^2) >= beta > 0: sin(R)/R has no
+            # zero to mask, and is computed in place
+            r = lam - m
+            np.square(r, out=r)
+            r += beta2
+            np.sqrt(r, out=r)
+            out = np.sin(r)
+            out /= r
+            return out
+    else:
+        def integrand(lam):
+            # cos_theta = +-1: R = |lam - m| reaches 0
+            return _sph_j0(compute_R(lam, mu, cos_theta))
 
     delta = 1.0 - abs(cos_eta)
     # the integrand carries phases (1 +- cos_eta)*lambda at large |lambda|;
     # near the axis the (1 - |cos_eta|) component beats slowly and sets the
-    # cell size
-    beat = 2.0 * np.pi / delta if delta > 1e-12 else None
+    # cell size.  However slow the beat (delta > 0 off the axis), it is
+    # passed on: half-period cells cannot see a beat past the budget and
+    # converge to the axis's Dirichlet midpoint, half the field, claiming
+    # 1e-11 (omega=1, cos_theta=0, z=1, rho=1e-6 did)
+    beat = 2.0 * np.pi / delta
     res = integrate_oscillatory_infinite(
         integrand, period_hint=2.0 * np.pi, tol=tol * np.pi,
         max_cell_pairs=max_cell_pairs,

@@ -8,7 +8,11 @@ Three layers:
   decaying oscillatory integrands, optionally times a plane-wave carrier
   ``exp(i*c*x)``, done as expanding half-period cell pairs fed into two
   sequence accelerators (Wynn epsilon and a polynomial extrapolation in 1/n
-  on a geometric node schedule).
+  on a geometric node schedule).  The integrand is assumed band-limited:
+  at most twice the frequency of ``period_hint``, times the carrier.  Each
+  cell is cut into the fewest K15 sub-panels of half-width h with
+  ``w_max*h <= 3*pi/2`` for that highest frequency ``w_max``: at most one
+  per half-period for every carrier up to 1.
 * ``regularized_j0_fourier``: closed form for the exponentially regularized
   J_0 Fourier integral, used as an oracle by the wavepacket checks.
 
@@ -52,6 +56,9 @@ _NEVILLE_NODES = 16
 # nodes per integrand call of the cell loop: whole cell pairs up to this
 # many, and one pair when a single pair holds more
 _BATCH_NODES = 2048
+# most nodes on one side of a cell (8x the widest in-tree cell, 512
+# half-periods at one sub-panel each); a faster carrier is refused
+_MAX_CELL_NODES = 65536
 
 
 @dataclass(frozen=True)
@@ -373,6 +380,8 @@ def integrate_oscillatory_infinite(f: Callable, period_hint: float,
         Vectorized integrand; called with arrays of abscissae.
     period_hint : float
         Dominant oscillation period of f at large argument; finite, > 0.
+        f may carry up to twice this frequency (a squared integrand) and
+        nothing faster: the sub-panels are sized for that bandwidth.
     tol : float
         Absolute tolerance on the accelerated limit.
     max_cell_pairs : int
@@ -389,13 +398,25 @@ def integrate_oscillatory_infinite(f: Callable, period_hint: float,
         frequencies.  Cells are widened to half the beat so the slow
         envelope alternates sign cell-to-cell, which the epsilon table
         removes; half-period cells would leave it near ratio one, where
-        acceleration stalls.  Finite and > 0 when given.
+        acceleration stalls.  Finite and > 0 when given.  When half the
+        beat lies past the budget's reach, ``max_cell_pairs`` cells a side,
+        the partial sums cannot see it: the result then reports
+        ``converged=False`` with an ``error_estimate`` of the largest float,
+        wherever the loop stops.
     carrier : float
         Frequency c of a plane-wave factor ``exp(i*c*x)`` that multiplies f.
         f is then evaluated without it: every node of cell k is a node of
         cell 0 shifted by ``k*L``, so the factor folds into cell 0's
         weights once and each cell pair needs one phase ``exp(i*c*k*L)``.
-        The default 0 integrates f itself.
+        The default 0 integrates f itself.  The sub-panels shrink as |c|
+        grows; a c that would put more than ``_MAX_CELL_NODES`` nodes on
+        one side of a cell raises ``ValueError`` before any call of f.
+
+    Each cell is split into equal K15 sub-panels of half-width h, as few
+    as keep ``w_max*h <= 3*pi/2`` with ``w_max = 2*(2*pi/period_hint) +
+    |carrier|``, the highest frequency of the integrand times its carrier;
+    there K15 integrates ``exp(i*w*x)`` to about 6e-17 per unit length.
+    For ``|carrier| <= 1`` that is at most one sub-panel per half-period.
     """
     if not 0.0 < period_hint < math.inf:
         raise ValueError(
@@ -415,7 +436,21 @@ def integrate_oscillatory_infinite(f: Callable, period_hint: float,
     if beat_hint is not None and beat_hint > 2.0 * period_hint:
         cells_per_side = min(math.ceil(0.5 * beat_hint / base_half), 512)
     half = cells_per_side * base_half
-    panels = 2 * cells_per_side  # sub-panel width base_half / 2
+    # partial sums over the budget's reach cannot see a slower beat
+    beat_unseen = (beat_hint is not None
+                   and 0.5 * beat_hint > max_cell_pairs * half)
+    # sub-panels of half-width h with w_max*h <= 3*pi/2, where K15 still
+    # integrates exp(i*w*x) to about 6e-17 per unit length; w_max covers
+    # twice the base frequency (a squared integrand) plus the carrier.  The
+    # factor under 1 keeps a product that rounds just past an integer from
+    # adding a sub-panel.
+    w_max = 2.0 * (2.0 * math.pi / period_hint) + abs(carrier)
+    need = half * w_max / (3.0 * math.pi) * (1.0 - 4.0 * _EPMACH)
+    if 15.0 * need > _MAX_CELL_NODES:
+        raise ValueError(
+            f"carrier {carrier!r} is too fast for cells of width {half!r}: "
+            f"a cell would take more than {_MAX_CELL_NODES} nodes a side")
+    panels = max(1, math.ceil(need))
     k0 = math.ceil(tail_start / half) if tail_start > 0 else 0
     # cell 0 (positive side): nodes x0 and the carrier folded into weights
     edges = np.linspace(0.0, half, panels + 1)
@@ -425,7 +460,7 @@ def integrate_oscillatory_infinite(f: Callable, period_hint: float,
     w = (h[:, None] * _WK15).ravel() * np.exp(1j * carrier * x0)
     # w as the real (n, 2) matrix [Re w, Im w]: a cell sum is then a real
     # product with two columns, which OpenBLAS keeps on one thread, where a
-    # complex matrix-vector product over a near-axis pair (15360 nodes a
+    # complex matrix-vector product over a near-axis pair (7680 nodes a
     # side) is split across threads and slows down several-fold whenever
     # another process holds the second core
     w_parts = np.column_stack([w.real, w.imag])
@@ -489,8 +524,9 @@ def integrate_oscillatory_infinite(f: Callable, period_hint: float,
             prev_cell = cell
             k += 1
 
-    if best is None:
-        return QuadratureResult(value=total, error_estimate=_OFLOW,
+    if best is None or beat_unseen:
+        return QuadratureResult(value=total if best is None else best,
+                                error_estimate=_OFLOW,
                                 n_evals=n_evals, converged=False)
     return QuadratureResult(value=best, error_estimate=float(best_err),
                             n_evals=n_evals, converged=bool(best_err <= tol))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from beamkit.beamcore import (BeamParams, FieldPoint, cauchy, constant,
                               eval_direct, eval_direct_dispersive, vacuum)
@@ -88,6 +89,33 @@ class TestAnalyticBranch:
         assert ok or res.converged is False
 
 
+class TestPointsDomain:
+    @settings(max_examples=30, deadline=None)
+    @given(omega=st.floats(0.5, 12.0), negative=st.booleans(),
+           cos_theta=st.floats(-1.0, 1.0), z=st.floats(-3.0, 3.0),
+           rho=st.floats(0.0, 5.0), t=st.floats(-2.0, 2.0))
+    def test_matches_direct_or_flags(self, omega, negative, cos_theta, z,
+                                     rho, t):
+        # the benchmark's point domain: every value is within 1e-6 of the
+        # closed form, or the route says that it is not
+        b = BeamParams(omega=-omega if negative else omega,
+                       cos_theta=cos_theta)
+        p = FieldPoint(z=z, rho=rho, t=t)
+        res = eval_integral_rep(b, p)
+        assert (abs(res.value - eval_direct(b, p)) <= 1e-6
+                or res.converged is False)
+
+    @pytest.mark.parametrize("cos_theta", [1.0, -1.0])
+    def test_collinear_beam_matches_direct(self, cos_theta):
+        # beta = 0: R = |lam - m| reaches 0, so the kernel keeps the
+        # masked j_0 instead of sin(R)/R
+        b = BeamParams(omega=3.0, cos_theta=cos_theta)
+        p = FieldPoint(z=1.0, rho=0.8, t=0.3)
+        res = eval_integral_rep(b, p)
+        assert res.converged
+        assert res.value == pytest.approx(eval_direct(b, p), abs=1e-6)
+
+
 class TestOffAxis:
     POINTS = [
         (1.0, 0.3, 0.0),
@@ -128,6 +156,15 @@ class TestOffAxis:
 
 
 class TestConvergenceReporting:
+    def test_near_axis_stall_cost_pinned(self):
+        # rho = 0.05 beats over ~7000 half-periods; the route spends its
+        # whole budget of 640 cell pairs, 512 half-periods wide, one K15
+        # sub-panel each.  A count, unlike a time, pins the cost on any host
+        b = BeamParams(omega=3.0, cos_theta=0.7)
+        res = eval_integral_rep(b, FieldPoint(z=3.0, rho=0.05, t=0.0))
+        assert res.converged is False
+        assert res.n_evals == 640 * 2 * 512 * 15 == 9_830_400
+
     def test_budget_exhaustion_flags_not_raises(self):
         b = BeamParams(omega=3.0, cos_theta=0.6)
         p = FieldPoint(1.0, 0.8, 0.0)

@@ -198,19 +198,69 @@ class TestOscillatoryInfinite:
         exact = np.pi * (1.0 - 0.5j * p2) if complex_g else np.pi
         assert abs(folded.value - exact) <= tol
 
-    @pytest.mark.parametrize("beat_hint,cells_per_side",
+    @pytest.mark.parametrize("carrier", [5.0, 10.0, 20.0, 40.0])
+    def test_fast_carrier_right_or_flagged(self, carrier):
+        # Int j_0(|x|) e^{icx} dx is 0 for |c| > 1.  Sub-panels sized for
+        # the base frequency alone came back converged=True 4.9e-5 off at
+        # c = 20 and 1.8 off at c = 40; sized by 2 + |c| they resolve it
+        tol = 1e-9
+        r = integrate_oscillatory_infinite(_jn_even(0),
+                                           period_hint=2 * np.pi, tol=tol,
+                                           carrier=carrier)
+        assert abs(r.value) <= tol or r.converged is False
+
+    @pytest.mark.parametrize("kw", [
+        {"carrier": 1e9}, {"carrier": -1e300},
+        {"carrier": 30.0, "beat_hint": 1e6},
+    ], ids=["fast", "huge", "fast_on_beat_cells"])
+    def test_carrier_past_cell_node_cap_raises(self, kw):
+        # the sub-panels follow the carrier; a layout past the node cap is
+        # refused before any call rather than allocated
+        f = _Counting(_jn_even(0))
+        with pytest.raises(ValueError, match="too fast"):
+            integrate_oscillatory_infinite(f, period_hint=2 * np.pi, **kw)
+        assert f.sizes == []
+
+    @pytest.mark.parametrize("carrier,panels", [(0.0, 1), (1.0, 1),
+                                                (-2.0, 2), (40.0, 14)])
+    def test_sub_panels_follow_highest_frequency(self, carrier, panels):
+        # half-period cells of pi: ceil(pi * (2 + |c|) / (3*pi)) sub-panels,
+        # and c = 1 lands exactly on one
+        f = _Counting(_jn_even(0))
+        integrate_oscillatory_infinite(f, period_hint=2 * np.pi,
+                                       carrier=carrier, max_cell_pairs=1)
+        assert f.sizes == [2 * 15 * panels]
+
+    def test_beat_past_budget_flagged(self):
+        # j_0(|x|) e^{icx} with 1 - c = 5e-15: the slow parts of a cell
+        # pair cancel to sin(delta*x)/x, whose pi/2 builds up only near
+        # x ~ 1/delta, far past the budget, so the sums settle half the
+        # value off.  They stop where they did, but say so
+        c = 1.0 - 5e-15
+        kw = dict(period_hint=2 * np.pi, tol=1e-9, carrier=c,
+                  beat_hint=2 * np.pi / (1.0 - c))
+        r = integrate_oscillatory_infinite(_jn_even(0), **kw)
+        assert abs(r.value - np.pi) > 1.0
+        assert r.converged is False
+        assert r.error_estimate == np.finfo(float).max
+        assert r.n_evals < 640 * 2 * 512 * 15
+
+    @pytest.mark.parametrize("beat_hint,cells_per_side,panels",
                              # half the beat over pi: 10.000000000000002
-                             # rounds up to 11; about 10000 is capped at 512
-                             [(None, 1), (2 * np.pi / (1 - 0.9), 11),
-                              (2 * np.pi / (1 - 0.9999), 512)],
+                             # rounds up to 11; about 10000 is capped at 512.
+                             # Sub-panels: ceil(cells_per_side * pi * w_max
+                             # / (3*pi)) at w_max = 2 (no carrier)
+                             [(None, 1, 1), (2 * np.pi / (1 - 0.9), 11, 8),
+                              (2 * np.pi / (1 - 0.9999), 512, 342)],
                              ids=["half_period", "beat", "narrow_beat"])
-    def test_one_call_per_batch_of_cell_pairs(self, beat_hint, cells_per_side):
+    def test_one_call_per_batch_of_cell_pairs(self, beat_hint, cells_per_side,
+                                              panels):
         f = _Counting(lambda lam: spherical_jn(0, np.abs(lam)))
         r = integrate_oscillatory_infinite(f, period_hint=2 * np.pi,
                                            tol=1e-9, beat_hint=beat_hint,
                                            max_cell_pairs=40)
         half = cells_per_side * np.pi
-        n = 30 * cells_per_side  # 15 nodes x sub-panels of a quarter period
+        n = 15 * panels  # 15 nodes x sub-panels
         assert r.n_evals == sum(f.sizes)
         assert max(f.sizes) <= max(2 * n, _BATCH_NODES)
         if 2 * n > _BATCH_NODES:
@@ -229,11 +279,11 @@ class TestOscillatoryInfinite:
         assert np.all(cells >= k * half) and np.all(cells <= (k + 1) * half)
 
     def test_batch_stays_inside_budget(self):
-        # one call of 6 pairs although the batch would hold 34
+        # one call of 6 pairs although the batch would hold 68
         f = _Counting(lambda lam: np.cos(lam) + 0.5)
         r = integrate_oscillatory_infinite(f, period_hint=2 * np.pi,
                                            tol=1e-12, max_cell_pairs=6)
-        n = 30
+        n = 15
         assert r.n_evals <= 6 * 2 * n
         assert r.n_evals == sum(f.sizes)
         assert len(f.sizes) == 1
@@ -260,7 +310,7 @@ class TestOscillatoryInfinite:
     def test_numpy_int_budget_accepted(self):
         r = integrate_oscillatory_infinite(_jn_even(0), period_hint=2 * np.pi,
                                            max_cell_pairs=np.int64(6))
-        assert r.n_evals == 6 * 60
+        assert r.n_evals == 6 * 30
 
     def test_stall_reports_nonconverged(self):
         # a constant-envelope cosine has no decaying tail to accelerate at
