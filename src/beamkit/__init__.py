@@ -4,13 +4,12 @@ suite for the identities tying them together."""
 
 from .beamcore import (BeamParams, DispersionModel, FieldPoint,
                        SphericalView, cauchy, constant, eval_direct,
-                       eval_direct_dispersive, to_spherical, vacuum)
-from .identities import IdentityReport, LegendreSpectrum, run_suite
-from .integralrep import eval_integral_rep, eval_integral_rep_dispersive
+                       to_spherical, vacuum)
+from .identities import IdentityReport, run_suite
+from .integralrep import eval_integral_rep
 from .oscquad import (QuadratureResult, integrate_finite,
                       integrate_oscillatory_infinite, regularized_j0_fourier)
-from .pwseries import (SeriesResult, eval_series, eval_series_dispersive,
-                       truncation_order)
+from .pwseries import SeriesResult, eval_series, truncation_order
 from .specfun import (bessel_j0, legendre_p, legendre_p_sequence,
                       spherical_jn, spherical_jn_sequence)
 from .wavepacket import (ConeAngles, support_predicate, triple_legendre_sum,
@@ -22,9 +21,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BeamParams", "DispersionModel", "FieldPoint", "SphericalView",
     "cauchy", "constant", "vacuum", "to_spherical",
-    "eval_direct", "eval_direct_dispersive",
-    "eval_series", "eval_series_dispersive",
-    "eval_integral_rep", "eval_integral_rep_dispersive",
+    "eval_direct", "eval_series", "eval_integral_rep",
     "SeriesResult", "truncation_order",
     "QuadratureResult", "integrate_finite",
     "integrate_oscillatory_infinite", "regularized_j0_fourier",
@@ -32,6 +29,6 @@ __all__ = [
     "spherical_jn", "spherical_jn_sequence",
     "ConeAngles", "support_predicate", "triple_legendre_sum",
     "triple_sum_closed_form", "wavepacket_series", "xwave_closed_form",
-    "IdentityReport", "LegendreSpectrum", "run_suite",
+    "IdentityReport", "run_suite",
     "__version__",
 ]

@@ -27,7 +27,6 @@ __all__ = [
     "cauchy",
     "to_spherical",
     "eval_direct",
-    "eval_direct_dispersive",
 ]
 
 
@@ -142,6 +141,8 @@ def constant(n0: float) -> DispersionModel:
 def cauchy(a: float, b: float) -> DispersionModel:
     if not np.isfinite(a) or a <= 0:
         raise ValueError(f"cauchy coefficient a must be positive: {a!r}")
+    if not np.isfinite(b):
+        raise ValueError(f"cauchy coefficient b must be finite: {b!r}")
     return _CauchyIndex(a=float(a), b=float(b))
 
 
@@ -166,9 +167,3 @@ def eval_direct(b: BeamParams, p: FieldPoint, *,
     if not (math.isfinite(phase) and math.isfinite(x)):
         raise ValueError(f"phase {phase!r} or k_rho*rho {x!r} is not finite")
     return complex(np.exp(1j * phase) * bessel_j0(x))
-
-
-def eval_direct_dispersive(b: BeamParams, m: DispersionModel,
-                           p: FieldPoint) -> complex:
-    """``eval_direct`` in medium ``m``."""
-    return eval_direct(b, p, medium=m)

@@ -13,18 +13,11 @@ Exit codes: 0 success, 1 verification failure, 2 usage or domain error,
 3 numerical non-convergence.  Floats are printed with repr, so every
 number round-trips exactly; CSV field maps carry the fixed header
 ``z,rho,t,re,im,abs`` in z-major, then rho, order.  ``map`` evaluates its
-grid serially and reads no thread-count variable (BEAMKIT_THREADS is
-gone): every route holds the interpreter lock, and on the README grid with
-2 vCPUs a 2-thread pool made the direct and series maps slower (serial vs
-pooled: series 1.0-1.5 vs 2.1-2.2 s) and left the integral map within
-noise.  Serially, process wall, the direct map takes 0.36-0.39 s (0.51-0.53 s
-on the same host, alternating runs, before J_0 dropped its double-double
-series; 3.0-3.5 s before its scalar J_0 ran in Python floats) and the
-integral map 2.1-2.5 s (3.9-4.3 s on the same host, alternating runs,
-before its cells took one K15 sub-panel per half-period instead of two;
-4.5-5.6 s before the quadrature evaluated its cell pairs in batches;
-7.8-10.2 s before it took the carrier exp(i*lambda*cos eta) out of its
-cells).
+grid serially and reads no thread-count variable: every route holds the
+interpreter lock, and on the README grid with 2 vCPUs a 2-thread pool made
+the direct and series maps slower and left the integral map within noise.
+Serially, as process wall on a 2-vCPU Xeon, the README grid takes
+0.27-0.33 s direct, 0.89-0.97 s series and 2.1-2.3 s integral.
 """
 from __future__ import annotations
 

@@ -33,7 +33,7 @@ The checks:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +48,6 @@ from .beamcore import FieldPoint
 
 __all__ = [
     "IdentityReport",
-    "LegendreSpectrum",
     "verify_stratton_integral",
     "delta_kernel_test",
     "legendre_ft_pair",
@@ -123,30 +122,6 @@ def _jn_signed(n: int, lam) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------------
-# Angular spectra
-# ----------------------------------------------------------------------------
-
-@dataclass
-class LegendreSpectrum:
-    """Coefficients a_n of an angular spectrum B = sum a_n P_n."""
-
-    coefficients: list = field(default_factory=list)
-
-    @classmethod
-    def delta(cls, cos_theta0: float, n_max: int) -> "LegendreSpectrum":
-        """Truncated delta spectrum at cos_theta0: a_n = (n + 1/2) P_n."""
-        ptab = legendre_p_sequence(n_max, cos_theta0).values
-        return cls(coefficients=[(n + 0.5) * ptab[n]
-                                 for n in range(n_max + 1)])
-
-    def kernel(self, x) -> np.ndarray:
-        """Evaluate sum a_n P_n(x) on an array of abscissae."""
-        n_max = len(self.coefficients) - 1
-        rows = legendre_p_sequence(n_max, x).values
-        return np.tensordot(np.asarray(self.coefficients), rows, axes=1)
-
-
-# ----------------------------------------------------------------------------
 # Finite-interval identities
 # ----------------------------------------------------------------------------
 
@@ -194,9 +169,12 @@ def delta_kernel_test(cos_theta0: float, n_max: int, test_fn,
         raise ValueError(f"cos_theta0 outside [-1, 1]: {cos_theta0!r}")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1: {n_max!r}")
-    spectrum = LegendreSpectrum.delta(cos_theta0, n_max)
+    # truncated delta spectrum a_n = (n + 1/2) P_n(cos_theta0), summed
+    # against the P_n(nodes) table
+    spectrum = ((np.arange(n_max + 1) + 0.5)
+                * legendre_p_sequence(n_max, cos_theta0))
     nodes, weights = np.polynomial.legendre.leggauss(n_max + 64)
-    kern = spectrum.kernel(nodes)
+    kern = spectrum @ legendre_p_sequence(n_max, nodes)
     fvals = np.array([float(test_fn(float(t))) for t in nodes])
     lhs = float(np.sum(weights * kern * fvals))
     rhs = float(test_fn(float(cos_theta0)))
@@ -308,9 +286,9 @@ def hochstadt_sum_check(lam: float, mu: float, cos_theta: float,
         raise ValueError(f"cos_theta outside [-1, 1]: {cos_theta!r}")
     n_max = _order_at_floor(max(lam, mu), n_max,
                             f"arguments up to {max(lam, mu)!r}")
-    jl = spherical_jn_sequence(n_max, lam).values
-    jm = spherical_jn_sequence(n_max, mu).values
-    pt = legendre_p_sequence(n_max, cos_theta).values
+    jl = spherical_jn_sequence(n_max, lam)
+    jm = spherical_jn_sequence(n_max, mu)
+    pt = legendre_p_sequence(n_max, cos_theta)
     orders = np.arange(n_max + 1)
     lhs = (2.0 / np.pi) * float(np.sum((orders + 0.5) * pt * jl * jm))
     dist = float(np.sqrt(max(0.0, lam * lam + mu * mu
@@ -324,10 +302,10 @@ def hochstadt_sum_check(lam: float, mu: float, cos_theta: float,
 
 def _plane_wave_sum(x: float, cos_gamma: float, n_max: int,
                     half_coeff: bool) -> complex:
-    jx = spherical_jn_sequence(n_max, abs(x)).values
+    jx = spherical_jn_sequence(n_max, abs(x))
     if x < 0:
         jx = jx * np.where(np.arange(n_max + 1) % 2 == 1, -1.0, 1.0)
-    pg = legendre_p_sequence(n_max, cos_gamma).values
+    pg = legendre_p_sequence(n_max, cos_gamma)
     orders = np.arange(n_max + 1)
     coeff = (orders + 0.5) if half_coeff else (2 * orders + 1)
     return complex(np.sum(coeff * (1j ** orders) * jx * pg))
@@ -393,7 +371,7 @@ def bessel_beam_identity(omega_r: float, tol: float = 1e-8) -> IdentityReport:
     q = integrate_finite(integrand, -1.0, 1.0, tol=0.05 * tol)
 
     n_max = truncation_order(omega_r, 0.01 * tol)
-    seq = spherical_jn_sequence(n_max, omega_r).values
+    seq = spherical_jn_sequence(n_max, omega_r)
     tail = 2.0 * (abs(seq[-1]) + abs(seq[-2]))
     orders = np.arange(n_max + 1)
     terms = 2.0 * (1j ** orders) * seq
@@ -401,7 +379,7 @@ def bessel_beam_identity(omega_r: float, tol: float = 1e-8) -> IdentityReport:
 
     # route B: fold each order through its quadrature-evaluated norm
     nodes, weights = np.polynomial.legendre.leggauss(n_max + 1)
-    norms = legendre_p_sequence(n_max, nodes).values ** 2 @ weights
+    norms = legendre_p_sequence(n_max, nodes) ** 2 @ weights
     route_b = complex(np.sum(terms * (orders + 0.5) * norms))
 
     params = {"omega_r": float(omega_r), "n_terms": int(n_max + 1),

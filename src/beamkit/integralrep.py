@@ -25,7 +25,6 @@ inside the open interval), exactly as the origin already is.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,35 +35,8 @@ from .oscquad import (QuadratureResult, _check_cell_budget,
 from .specfun import _sph_j0
 
 __all__ = [
-    "KernelArgs",
-    "compute_R",
     "eval_integral_rep",
-    "eval_integral_rep_dispersive",
 ]
-
-
-@dataclass(frozen=True)
-class KernelArgs:
-    """Arguments of the kernel distance: mu = |omega|*r plus the two cosines."""
-
-    mu: float
-    cos_theta: float
-    cos_eta: float
-
-    def __post_init__(self):
-        if not self.mu >= 0:
-            raise ValueError(f"mu must be nonnegative: {self.mu!r}")
-        if not (abs(self.cos_theta) <= 1 and abs(self.cos_eta) <= 1):
-            raise ValueError("cosines must lie in [-1, 1]")
-
-
-def compute_R(lam, mu, cos_theta):
-    """Chord distance sqrt(lam^2 + mu^2 - 2*lam*mu*cos_theta), clamped at 0.
-
-    Vectorized in ``lam``.
-    """
-    rad = lam * lam + mu * mu - 2.0 * lam * mu * cos_theta
-    return np.sqrt(np.maximum(rad, 0.0))
 
 
 def _rep_integral(mu: float, cos_theta: float, cos_eta: float, tol: float,
@@ -87,7 +59,7 @@ def _rep_integral(mu: float, cos_theta: float, cos_eta: float, tol: float,
     else:
         def integrand(lam):
             # cos_theta = +-1: R = |lam - m| reaches 0
-            return _sph_j0(compute_R(lam, mu, cos_theta))
+            return _sph_j0(np.abs(lam - m))
 
     delta = 1.0 - abs(cos_eta)
     # the integrand carries phases (1 +- cos_eta)*lambda at large |lambda|;
@@ -143,10 +115,3 @@ def eval_integral_rep(b: BeamParams, p: FieldPoint, tol: float = 1e-9,
     return QuadratureResult(value=complex(value * tfac),
                             error_estimate=res.error_estimate,
                             n_evals=res.n_evals, converged=res.converged)
-
-
-def eval_integral_rep_dispersive(b: BeamParams, m: DispersionModel,
-                                 p: FieldPoint, tol: float = 1e-9,
-                                 max_cell_pairs: int = 640) -> QuadratureResult:
-    """``eval_integral_rep`` in medium ``m``."""
-    return eval_integral_rep(b, p, tol, max_cell_pairs, medium=m)

@@ -400,9 +400,10 @@ def integrate_oscillatory_infinite(f: Callable, period_hint: float,
         removes; half-period cells would leave it near ratio one, where
         acceleration stalls.  Finite and > 0 when given.  When half the
         beat lies past the budget's reach, ``max_cell_pairs`` cells a side,
-        the partial sums cannot see it: the result then reports
-        ``converged=False`` with an ``error_estimate`` of the largest float,
-        wherever the loop stops.
+        the partial sums cannot see it and no result can converge: the
+        call then returns at once, after the argument checks, without
+        calling f: ``value=0j``, ``error_estimate`` the largest float,
+        ``n_evals=0`` and ``converged=False``.
     carrier : float
         Frequency c of a plane-wave factor ``exp(i*c*x)`` that multiplies f.
         f is then evaluated without it: every node of cell k is a node of
@@ -436,9 +437,6 @@ def integrate_oscillatory_infinite(f: Callable, period_hint: float,
     if beat_hint is not None and beat_hint > 2.0 * period_hint:
         cells_per_side = min(math.ceil(0.5 * beat_hint / base_half), 512)
     half = cells_per_side * base_half
-    # partial sums over the budget's reach cannot see a slower beat
-    beat_unseen = (beat_hint is not None
-                   and 0.5 * beat_hint > max_cell_pairs * half)
     # sub-panels of half-width h with w_max*h <= 3*pi/2, where K15 still
     # integrates exp(i*w*x) to about 6e-17 per unit length; w_max covers
     # twice the base frequency (a squared integrand) plus the carrier.  The
@@ -450,6 +448,10 @@ def integrate_oscillatory_infinite(f: Callable, period_hint: float,
         raise ValueError(
             f"carrier {carrier!r} is too fast for cells of width {half!r}: "
             f"a cell would take more than {_MAX_CELL_NODES} nodes a side")
+    if beat_hint is not None and 0.5 * beat_hint > max_cell_pairs * half:
+        # partial sums over the budget's reach cannot see a slower beat
+        return QuadratureResult(value=0j, error_estimate=_OFLOW, n_evals=0,
+                                converged=False)
     panels = max(1, math.ceil(need))
     k0 = math.ceil(tail_start / half) if tail_start > 0 else 0
     # cell 0 (positive side): nodes x0 and the carrier folded into weights
@@ -524,9 +526,8 @@ def integrate_oscillatory_infinite(f: Callable, period_hint: float,
             prev_cell = cell
             k += 1
 
-    if best is None or beat_unseen:
-        return QuadratureResult(value=total if best is None else best,
-                                error_estimate=_OFLOW,
+    if best is None:
+        return QuadratureResult(value=total, error_estimate=_OFLOW,
                                 n_evals=n_evals, converged=False)
     return QuadratureResult(value=best, error_estimate=float(best_err),
                             n_evals=n_evals, converged=bool(best_err <= tol))

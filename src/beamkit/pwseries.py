@@ -22,7 +22,6 @@ __all__ = [
     "SeriesResult",
     "truncation_order",
     "eval_series",
-    "eval_series_dispersive",
 ]
 
 HARD_CAP = 5000
@@ -64,7 +63,7 @@ def truncation_order(omega_r: float, tol: float = 1e-10) -> int:
     hi = base
     while True:
         hi = min(hi + 60, HARD_CAP)
-        vals = spherical_jn_sequence(hi, x).values
+        vals = spherical_jn_sequence(hi, x)
         below = np.flatnonzero(np.abs(vals[base:]) < target)
         if below.size:
             return base + int(below[0])
@@ -79,9 +78,9 @@ def _series_sum(mu: float, cos_theta: float, cos_eta: float, tol: float):
     """
     n = truncation_order(mu, tol)
     while True:
-        pt = legendre_p_sequence(n, cos_theta).values
-        pe = legendre_p_sequence(n, cos_eta).values
-        jn = spherical_jn_sequence(n, mu).values
+        pt = legendre_p_sequence(n, cos_theta)
+        pe = legendre_p_sequence(n, cos_eta)
+        jn = spherical_jn_sequence(n, mu)
         orders = np.arange(n + 1)
         terms = 2.0 * (1j ** orders) * (orders + 0.5) * pt * pe * jn
         tail = float(np.abs(terms[-1]) + np.abs(terms[-2]))
@@ -114,9 +113,3 @@ def eval_series(b: BeamParams, p: FieldPoint, tol: float = 1e-12, *,
         value = value.conjugate()
     return SeriesResult(value=complex(value * tfac), n_terms=n_terms,
                         tail_estimate=tail, converged=ok)
-
-
-def eval_series_dispersive(b: BeamParams, m: DispersionModel, p: FieldPoint,
-                           tol: float = 1e-12) -> SeriesResult:
-    """``eval_series`` in medium ``m``."""
-    return eval_series(b, p, tol, medium=m)

@@ -20,12 +20,10 @@ per point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
-    "RealSequence",
     "legendre_p",
     "legendre_p_sequence",
     "spherical_jn",
@@ -39,25 +37,6 @@ UNDERFLOW_FLUSH = 1e-300
 
 # Input slack on |x| <= 1 domains: absorb rounding from upstream trig.
 _DOMAIN_SLACK = 1e-12
-
-
-@dataclass(frozen=True)
-class RealSequence:
-    """A contiguous run of real values f_0 .. f_n.
-
-    ``values`` is a float64 array, orders along axis 0.  ``flushed`` lists
-    indices whose true magnitude was below the underflow floor and was
-    replaced by exact zero.
-    """
-
-    values: np.ndarray
-    flushed: tuple[int, ...] = field(default=())
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, i):
-        return self.values[i]
 
 
 # ----------------------------------------------------------------------------
@@ -85,12 +64,15 @@ def legendre_p(n: int, x):
     """
     if n < 0:
         raise ValueError(f"negative degree: n={n}")
-    p = legendre_p_sequence(n, x).values[n]
+    p = legendre_p_sequence(n, x)[n]
     return p if np.ndim(x) else float(p)
 
 
-def legendre_p_sequence(n_max: int, x) -> RealSequence:
-    """All of P_0(x) .. P_{n_max}(x) in one upward sweep, x scalar or array."""
+def legendre_p_sequence(n_max: int, x) -> np.ndarray:
+    """All of P_0(x) .. P_{n_max}(x) in one upward sweep, x scalar or array.
+
+    A float64 array, orders along axis 0.
+    """
     if n_max < 0:
         raise ValueError(f"negative degree: n_max={n_max}")
     x = _clamp_unit(x)
@@ -98,7 +80,7 @@ def legendre_p_sequence(n_max: int, x) -> RealSequence:
     out = [np.ones_like(x) if np.ndim(x) else 1.0, x][:n_max + 1]
     for k in range(1, n_max):
         out.append(((2 * k + 1) * x * out[k] - k * out[k - 1]) / (k + 1))
-    return RealSequence(values=np.clip(out, -1.0, 1.0))
+    return np.clip(out, -1.0, 1.0)
 
 
 # ----------------------------------------------------------------------------
@@ -135,20 +117,18 @@ def _miller_offset(n: int) -> int:
 _TINY_ARG = 1e-8
 
 
-def _sph_sequence_tiny(n_max: int, x: float) -> tuple[np.ndarray, tuple[int, ...]]:
+def _sph_sequence_tiny(n_max: int, x: float) -> np.ndarray:
     vals = [1.0]
-    flushed = []
     term = 1.0
     for n in range(1, n_max + 1):
         term = term * x / (2 * n + 1)
         if term < UNDERFLOW_FLUSH:
             term = 0.0
-            flushed.append(n)
         vals.append(term)
-    return np.array(vals), tuple(flushed)
+    return np.array(vals)
 
 
-def _sph_sequence_miller(n_max: int, x: float) -> tuple[np.ndarray, tuple[int, ...]]:
+def _sph_sequence_miller(n_max: int, x: float) -> np.ndarray:
     """Downward (Miller) evaluation of j_0..j_{n_max} for 0 < x < n_max."""
     start = n_max + _miller_offset(n_max)
     bp = 0.0  # b_{k+1}
@@ -180,9 +160,8 @@ def _sph_sequence_miller(n_max: int, x: float) -> tuple[np.ndarray, tuple[int, .
     # magnitude under the floor there means decay underflowed, not a
     # zero crossing.
     deep = (np.arange(n_max + 1) > x) & (np.abs(vals) < UNDERFLOW_FLUSH)
-    flush = deep | ~np.isfinite(vals)
-    vals[flush] = 0.0
-    return vals, tuple(np.flatnonzero(flush).tolist())
+    vals[deep | ~np.isfinite(vals)] = 0.0
+    return vals
 
 
 def _sph_sequence_upward(n_max: int, x):
@@ -195,13 +174,13 @@ def _sph_sequence_upward(n_max: int, x):
     return np.array(out)
 
 
-def spherical_jn_sequence(n_max: int, x: float) -> RealSequence:
-    """j_0(x) .. j_{n_max}(x) at one x >= 0.
+def spherical_jn_sequence(n_max: int, x: float) -> np.ndarray:
+    """j_0(x) .. j_{n_max}(x) at one x >= 0, as a float64 array.
 
     Upward recurrence when x >= n_max (stable there), Miller downward
     recurrence otherwise, normalized against j_0 = sin(x)/x (or j_1 when
     x sits near a zero of the sine).  Entries that would land below 1e-300
-    come back as 0.0 with their index recorded in ``flushed``.
+    come back as 0.0.
     """
     if n_max < 0:
         raise ValueError(f"negative order: n_max={n_max}")
@@ -211,14 +190,12 @@ def spherical_jn_sequence(n_max: int, x: float) -> RealSequence:
     if x == 0.0:
         vals = np.zeros(n_max + 1)
         vals[0] = 1.0
-        return RealSequence(values=vals)
+        return vals
     if x < _TINY_ARG:
-        vals, flushed = _sph_sequence_tiny(n_max, x)
-        return RealSequence(values=vals, flushed=flushed)
+        return _sph_sequence_tiny(n_max, x)
     if x >= n_max:
-        return RealSequence(values=_sph_sequence_upward(n_max, x))
-    vals, flushed = _sph_sequence_miller(n_max, x)
-    return RealSequence(values=vals, flushed=flushed)
+        return _sph_sequence_upward(n_max, x)
+    return _sph_sequence_miller(n_max, x)
 
 
 def spherical_jn(n: int, x):
@@ -230,7 +207,7 @@ def spherical_jn(n: int, x):
     if n < 0:
         raise ValueError(f"negative order: n={n}")
     if np.ndim(x) == 0:
-        return float(spherical_jn_sequence(n, x).values[n])
+        return float(spherical_jn_sequence(n, x)[n])
     x = np.asarray(x, dtype=float)
     if not np.all((x >= 0) & np.isfinite(x)):
         raise ValueError("array x holds a negative or non-finite entry")
@@ -238,7 +215,7 @@ def spherical_jn(n: int, x):
     up = x >= max(n, 1)
     out[up] = _sph_sequence_upward(n, x[up])[n]
     for i in np.flatnonzero(~up):
-        out.flat[i] = spherical_jn_sequence(n, x.flat[i]).values[n]
+        out.flat[i] = spherical_jn_sequence(n, x.flat[i])[n]
     return out
 
 

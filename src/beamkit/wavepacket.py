@@ -140,9 +140,9 @@ def triple_legendre_sum(a: ConeAngles, n_max: int,
     if mode not in ("raw", "cesaro", "double_average"):
         raise ValueError(f"unknown mode: {mode!r}")
     c1, c2, c3 = sorted((a.cos_theta, a.cos_eta, a.cos_gamma))
-    p1 = legendre_p_sequence(n_max, c1).values
-    p2 = legendre_p_sequence(n_max, c2).values
-    p3 = legendre_p_sequence(n_max, c3).values
+    p1 = legendre_p_sequence(n_max, c1)
+    p2 = legendre_p_sequence(n_max, c2)
+    p3 = legendre_p_sequence(n_max, c3)
     orders = np.arange(n_max + 1)
     terms = (2 * orders + 1) * p1 * p2 * p3
     partial = np.cumsum(terms)

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from beamkit.beamcore import (BeamParams, FieldPoint, cauchy, constant,
-                              eval_direct, eval_direct_dispersive,
-                              to_spherical, vacuum)
+                              eval_direct, to_spherical, vacuum)
 
 _finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -122,15 +121,21 @@ class TestDispersion:
         with pytest.raises(ValueError):
             cauchy(-1.0, 0.01)
 
+    @pytest.mark.parametrize("b", [math.nan, math.inf, -math.inf])
+    def test_cauchy_refuses_nonfinite_b(self, b):
+        # refused when built, not on the first evaluate of every route
+        with pytest.raises(ValueError, match="coefficient b"):
+            cauchy(1.5, b)
+
     def test_vacuum_matches_plain_direct_bitwise(self):
         b = BeamParams(omega=3.0, cos_theta=0.7)
         p = FieldPoint(z=0.5, rho=1.5, t=1.0)
-        assert eval_direct_dispersive(b, vacuum(), p) == eval_direct(b, p)
+        assert eval_direct(b, p, medium=vacuum()) == eval_direct(b, p)
 
     def test_cauchy_frozen_oracle(self):
         b = BeamParams(omega=2.0, cos_theta=0.8)
         p = FieldPoint(z=0.5, rho=0.5, t=1.0)
-        v = eval_direct_dispersive(b, cauchy(1.5, 0.01), p)
+        v = eval_direct(b, p, medium=cauchy(1.5, 0.01))
         assert v.real == pytest.approx(0.5737717345984224143644, abs=1e-15)
         assert v.imag == pytest.approx(-0.5541460563276837704564, abs=1e-15)
 
@@ -139,5 +144,5 @@ class TestDispersion:
         b = BeamParams(omega=1.5, cos_theta=0.6)
         p = FieldPoint(z=0.8, rho=1.2, t=0.0)
         doubled = BeamParams(omega=3.0, cos_theta=0.6)
-        assert eval_direct_dispersive(b, constant(2.0), p) == \
+        assert eval_direct(b, p, medium=constant(2.0)) == \
             pytest.approx(eval_direct(doubled, p), abs=1e-15)

@@ -126,6 +126,15 @@ class TestEval:
                    "--cauchy-b", "0.01"])
         assert rc == 0
 
+    def test_cauchy_nonfinite_b_exit_2(self, capsys):
+        # refused when the model is built, naming the coefficient
+        rc = main(["eval", "--rep", "integral", "--omega", "1.5",
+                   "--cos-theta", "0.6", "--z", "0.5", "--rho", "0.8",
+                   "--dispersion", "cauchy", "--cauchy-a", "1.5",
+                   "--cauchy-b", "nan"])
+        assert rc == 2
+        assert "coefficient b" in capsys.readouterr().err
+
     def test_domain_error_exit_2(self, capsys):
         rc = main(["eval", "--rep", "direct", "--omega", "1.0",
                    "--cos-theta", "1.5"])

@@ -6,9 +6,8 @@ import pytest
 
 import beamkit.identities as idn
 from beamkit.beamcore import FieldPoint
-from beamkit.identities import (SUITE_NAMES, LegendreSpectrum,
-                                bessel_beam_identity, delta_kernel_test,
-                                hochstadt_sum_check, jn_norm_integral,
+from beamkit.identities import (SUITE_NAMES, bessel_beam_identity,
+                                delta_kernel_test, hochstadt_sum_check, jn_norm_integral,
                                 legendre_ft_pair, legendre_orthogonality,
                                 plane_wave_expansion_check,
                                 plane_wave_negative_control, run_suite,
@@ -62,13 +61,6 @@ class TestDeltaKernel:
         r = delta_kernel_test(0.7, 400, np.exp)
         _assert_ok(r)
         assert r.rhs == pytest.approx(math.exp(0.7))
-
-    def test_spectrum_shape(self):
-        spec = LegendreSpectrum.delta(0.3, 50)
-        assert len(spec.coefficients) == 51
-        # a_n = (n + 1/2) P_n(x0)
-        assert spec.coefficients[0] == pytest.approx(0.5)
-        assert spec.coefficients[1] == pytest.approx(1.5 * 0.3)
 
 
 class TestFtPair:

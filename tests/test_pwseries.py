@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from beamkit.beamcore import BeamParams, FieldPoint, cauchy, constant, vacuum
-from beamkit.beamcore import eval_direct, eval_direct_dispersive
+from beamkit.beamcore import eval_direct
 from beamkit.pwseries import (HARD_CAP, SeriesResult, eval_series,
-                              eval_series_dispersive, truncation_order)
+                              truncation_order)
 
 _finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -41,7 +41,7 @@ class TestTruncationOrder:
         from beamkit.specfun import spherical_jn_sequence
         n = truncation_order(x, tol)
         base = max(10, int(np.ceil(x + 4.0 * x ** (1.0 / 3.0) + 10.0)))
-        vals = np.abs(spherical_jn_sequence(n, x).values)
+        vals = np.abs(spherical_jn_sequence(n, x))
         assert n >= base
         assert vals[n] < 0.01 * tol
         assert np.all(vals[base:n] >= 0.01 * tol)
@@ -158,12 +158,12 @@ class TestDispersiveSeries:
         b = BeamParams(omega=2.0, cos_theta=0.8)
         for p in (FieldPoint(z=0.5, rho=0.5, t=1.0),
                   FieldPoint(z=-1.0, rho=2.0, t=0.0)):
-            gap = abs(eval_series_dispersive(b, model, p).value
-                      - eval_direct_dispersive(b, model, p))
+            gap = abs(eval_series(b, p, medium=model).value
+                      - eval_direct(b, p, medium=model))
             assert gap <= 1e-10
 
     def test_vacuum_equals_plain_series(self):
         b = BeamParams(omega=3.0, cos_theta=0.6)
         p = FieldPoint(z=0.7, rho=1.1, t=0.2)
-        assert eval_series_dispersive(b, vacuum(), p).value == \
+        assert eval_series(b, p, medium=vacuum()).value == \
             eval_series(b, p).value

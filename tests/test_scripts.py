@@ -1,0 +1,34 @@
+"""Smoke test of the runnable demos under ``scripts/``: each imports as a
+module, and the cheapest one runs end to end."""
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = sorted((Path(__file__).resolve().parent.parent / "scripts")
+                 .glob("*.py"))
+
+
+def _load(path: Path):
+    spec = importlib.util.spec_from_file_location(f"_script_{path.stem}",
+                                                  path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_scripts_found():
+    assert {p.stem for p in SCRIPTS} >= {"field_map_demo", "identity_suite",
+                                         "triple_sum_convergence"}
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.stem)
+def test_script_imports_with_main(path):
+    assert callable(_load(path).main)
+
+
+def test_identity_suite_planewave_passes(capsys):
+    # the planewave suite is six partial-wave sums, a few milliseconds
+    mod = _load(next(p for p in SCRIPTS if p.stem == "identity_suite"))
+    assert mod.main(["--suite", "planewave"]) == 0
+    assert "6/6 reports pass" in capsys.readouterr().out

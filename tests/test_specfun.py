@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from beamkit.specfun import (RealSequence, _sph_j0, bessel_j0, legendre_p,
+from beamkit.specfun import (_sph_j0, bessel_j0, legendre_p,
                              legendre_p_sequence, spherical_jn,
                              spherical_jn_sequence)
 
@@ -35,11 +35,11 @@ class TestLegendre:
 
     def test_endpoint_alternation(self):
         seq = legendre_p_sequence(5, -1.0)
-        assert list(seq.values) == [1.0, -1.0, 1.0, -1.0, 1.0, -1.0]
+        assert list(seq) == [1.0, -1.0, 1.0, -1.0, 1.0, -1.0]
 
     def test_sequence_matches_elementwise(self):
         seq = legendre_p_sequence(20, 0.3)
-        for n, v in enumerate(seq.values):
+        for n, v in enumerate(seq):
             assert v == legendre_p(n, 0.3)
 
     def test_clamp_slack(self):
@@ -63,11 +63,11 @@ class TestLegendre:
     def test_array_rows_match_scalar_sequences_bitwise(self):
         xs = np.concatenate([np.linspace(-1.0, 1.0, 201),
                              [1.0 + 5e-13, -1.0 - 5e-13, 0.3]])
-        rows = legendre_p_sequence(120, xs).values
+        rows = legendre_p_sequence(120, xs)
         assert rows.shape == (121, xs.size)
         for j, x in enumerate(xs):
             assert np.array_equal(rows[:, j],
-                                  legendre_p_sequence(120, float(x)).values)
+                                  legendre_p_sequence(120, float(x)))
         assert np.array_equal(legendre_p(7, xs), rows[7])
         assert type(legendre_p(7, 0.3)) is float
 
@@ -79,7 +79,7 @@ class TestLegendre:
     @given(n=st.integers(1, 400), x=st.floats(-1.0, 1.0))
     @settings(max_examples=150, deadline=None)
     def test_recurrence_residual(self, n, x):
-        seq = legendre_p_sequence(n + 1, x).values
+        seq = legendre_p_sequence(n + 1, x)
         res = (n + 1) * seq[n + 1] - (2 * n + 1) * x * seq[n] + n * seq[n - 1]
         assert abs(res) <= 1e-12
 
@@ -122,26 +122,25 @@ class TestSphericalBessel:
         assert spherical_jn(n, x) == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_at_zero(self):
-        assert list(spherical_jn_sequence(3, 0.0).values) == [1.0, 0.0, 0.0, 0.0]
+        assert list(spherical_jn_sequence(3, 0.0)) == [1.0, 0.0, 0.0, 0.0]
         assert spherical_jn(0, 0.0) == 1.0
         assert spherical_jn(7, 0.0) == 0.0
 
     def test_sequence_matches_elementwise(self):
         seq = spherical_jn_sequence(60, 10.0)
-        for n, v in enumerate(seq.values):
+        for n, v in enumerate(seq):
             if abs(v) > 1e-280:
                 assert v == pytest.approx(spherical_jn(n, 10.0), rel=1e-12, abs=0)
 
     def test_underflow_flush_flagged(self):
-        # j_250(1) ~ 1e-570: far below the flush floor
+        # j_250(1) ~ 1e-570: far below the flush floor, so exactly 0.0
         seq = spherical_jn_sequence(250, 1.0)
-        assert seq.values[250] == 0.0
-        assert 250 in seq.flushed
-        assert all(math.isfinite(v) for v in seq.values)
+        assert seq[250] == 0.0
+        assert all(math.isfinite(v) for v in seq)
 
     def test_no_flush_when_representable(self):
         seq = spherical_jn_sequence(60, 10.0)
-        assert seq.flushed == ()
+        assert np.all(seq != 0.0)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -195,7 +194,7 @@ class TestSphericalBessel:
     @pytest.mark.parametrize("x", [0.7, 2.0, 9.5, 37.0, 150.0])
     def test_three_term_recurrence(self, x):
         n_max = 40
-        seq = spherical_jn_sequence(n_max + 1, x).values
+        seq = spherical_jn_sequence(n_max + 1, x)
         for n in range(1, n_max):
             if abs(seq[n]) <= 1e-200:
                 continue
@@ -226,25 +225,23 @@ class TestSphericalBessel:
     ])
     def test_deep_decay_band(self, n, x, expected):
         assert spherical_jn(n, x) == pytest.approx(expected, rel=1e-12, abs=0)
-        assert spherical_jn_sequence(n, x).values[n] == pytest.approx(
+        assert spherical_jn_sequence(n, x)[n] == pytest.approx(
             expected, rel=1e-12, abs=0)
 
     def test_miller_entry_survives_two_rescales(self):
         # stored before the last two rescales of the downward sweep;
         # value frozen from a 40-digit oracle
         seq = spherical_jn_sequence(233, 1.4799266345558913e-07)
-        assert seq.values[30] == pytest.approx(7.1822555027062299348e-248,
-                                               rel=1e-12, abs=0)
-        assert 30 not in seq.flushed
+        assert seq[30] == pytest.approx(7.1822555027062299348e-248,
+                                        rel=1e-12, abs=0)
 
     def test_tiny_argument_sequence(self):
         # at x = 1e-100 only the first three orders are representable
         seq = spherical_jn_sequence(5, 1e-100)
-        assert seq.values[0] == 1.0
-        assert seq.values[1] == pytest.approx(1e-100 / 3.0, rel=1e-15, abs=0)
-        assert seq.values[2] == pytest.approx(1e-200 / 15.0, rel=1e-15, abs=0)
-        assert list(seq.values[3:]) == [0.0, 0.0, 0.0]
-        assert set(seq.flushed) == {3, 4, 5}
+        assert seq[0] == 1.0
+        assert seq[1] == pytest.approx(1e-100 / 3.0, rel=1e-15, abs=0)
+        assert seq[2] == pytest.approx(1e-200 / 15.0, rel=1e-15, abs=0)
+        assert list(seq[3:]) == [0.0, 0.0, 0.0]
 
 
 # frozen 40-digit values, rounded to 22 digits.  The first block is J_0 at
@@ -360,14 +357,14 @@ class TestBesselJ0:
 
 
 class TestRealSequence:
+    """The sequences are plain float64 arrays, orders along axis 0."""
+
     def test_length_invariant(self):
-        assert len(legendre_p_sequence(17, 0.2).values) == 18
-        assert len(spherical_jn_sequence(0, 1.0).values) == 1
+        assert len(legendre_p_sequence(17, 0.2)) == 18
+        assert len(spherical_jn_sequence(0, 1.0)) == 1
 
     def test_all_entries_finite(self):
         for seq in (legendre_p_sequence(300, -0.77),
                     spherical_jn_sequence(300, 2.5)):
-            assert all(math.isfinite(v) for v in seq.values)
-
-    def test_default_flush_empty(self):
-        assert RealSequence(values=[1.0]).flushed == ()
+            assert type(seq) is np.ndarray and seq.dtype == np.float64
+            assert all(math.isfinite(v) for v in seq)
