@@ -17,7 +17,7 @@ grid serially and reads no thread-count variable: every route holds the
 interpreter lock, and on the README grid with 2 vCPUs a 2-thread pool made
 the direct and series maps slower and left the integral map within noise.
 Serially, as process wall on a 2-vCPU Xeon, the README grid takes
-0.27-0.33 s direct, 0.89-0.97 s series and 2.1-2.3 s integral.
+0.34-0.38 s direct, 0.76-1.10 s series and 1.9-2.1 s integral.
 """
 from __future__ import annotations
 

@@ -220,8 +220,9 @@ def legendre_ft_pair(n: int, beta: float, tol: float = 1e-8) -> IdentityReport:
             f"beta must lie strictly inside (-1, 1): {beta!r}")
 
     margin = 1.0 - abs(beta)
-    # a beat past the budget is still passed on, as in the integral route:
-    # half-period cells would converge to the edge's midpoint, P_n / 2
+    # the beat is always passed on, however slow: half-period cells would
+    # converge to the edge's midpoint, P_n / 2, and a beat past the budget
+    # makes the engine report converged=False instead
     beat = 2.0 * np.pi / margin
     q = integrate_oscillatory_infinite(lambda lam: _jn_signed(n, lam),
                                        period_hint=2.0 * np.pi,

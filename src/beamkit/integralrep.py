@@ -14,6 +14,17 @@ no zero to mask.  The engine is handed the real factor j_0(R) and the
 carrier frequency cos eta: it folds exp(i*lambda*cos eta) into its cell
 weights, so no complex exponential is evaluated per node.
 
+Near the axis the integrand beats at delta = 1 - |cos eta|, computed as
+rho^2 / (r (r + |z|)).  Where delta * 512 < 1 that beat is wider than the
+engine's widest cell (512 half-periods), and the cells no longer alternate
+with it.  Those points take a ray quadrature instead (the steepest-descent
+idea of Huybrechs and Vandewalle, SIAM J. Numer. Anal. 44, 2006): K15
+panels on [-L, L], L = max(mu, lambda_s) + pi past the real saddle
+lambda_s = |m| + |cos eta| beta / sin eta, and the two parts
+e^{+-iR} / (2iR) of each tail up and down vertical rays, where they decay
+like e^{-(1 +- cos eta) s}.  Its cost grows like lambda_s, about 1/rho;
+past a node budget it reports converged=False without evaluating.
+
 On the axis (|cos eta| = 1) the symmetric limit of the lambda-integral is
 exactly half the field: j_n under the integral is the Fourier transform of
 a function supported on [-1, 1], and at |beta| = 1 a Fourier inversion
@@ -30,7 +41,8 @@ import numpy as np
 
 from .beamcore import (_VACUUM, BeamParams, DispersionModel, FieldPoint,
                        to_spherical)
-from .oscquad import (QuadratureResult, _check_cell_budget,
+from .oscquad import (_EPMACH, _MAX_CELL_HALF_PERIODS, _OFLOW, _WG7, _WK15,
+                      QuadratureResult, _check_cell_budget, _k15_nodes,
                       integrate_oscillatory_infinite)
 from .specfun import _sph_j0
 
@@ -39,40 +51,169 @@ __all__ = [
 ]
 
 
-def _rep_integral(mu: float, cos_theta: float, cos_eta: float, tol: float,
-                  max_cell_pairs: int) -> QuadratureResult:
-    """The lambda-integral divided by pi, for mu > 0, |cos_eta| < 1."""
+# ray quadrature of the near-axis band: nodes per integrand call, and
+# omega*h of its K15 panels for the highest local frequency omega, where G7
+# is within about 3e-13 per unit length of K15
+_CHUNK_NODES = 32768
+_PANEL_WH = 1.5
+# a ray ends where its integrand times its decay length is below this
+_RAY_CUT = 1e-3 * _EPMACH
+
+
+def _chord_j0(u, beta2: float):
+    """j_0(R) with R = sqrt(u^2 + beta2) and u = lambda - m; overwrites u."""
+    if beta2 > 0.0:
+        # R >= beta > 0: sin(R)/R has no zero to mask, and is computed in
+        # place
+        np.square(u, out=u)
+        u += beta2
+        np.sqrt(u, out=u)
+        out = np.sin(u)
+        out /= u
+        return out
+    # cos_theta = +-1: R = |u| reaches 0
+    return _sph_j0(np.abs(u))
+
+
+def _ray_edges(a: float, beta2: float, rate: float) -> np.ndarray:
+    """Panel edges in s on the vertical ray z = a +- i*s (z = lambda - m,
+    a > 0) of a part that decays at ``rate``, out to where it is negligible.
+    """
+    beta = math.sqrt(beta2)
+    s = 0.0
+    edges = [s]
+    while True:
+        z = complex(a, s)
+        r = (z * z + beta2) ** 0.5
+        q = beta2 / (r + z)
+        # |e^{+-i q - rate s} / (2R)| is the same on either ray; past the
+        # saddle it only falls, so the rest of the ray adds at most this
+        # over its decay length 1/rate
+        if math.exp(-rate * s - q.imag) <= _RAY_CUT * 2.0 * abs(r) * rate:
+            return np.array(edges)
+        # a panel resolves the local frequency rate + |q/R| and keeps well
+        # away from the branch point of R at +-i*beta
+        s += min(0.4 * abs(z - 1j * beta),
+                 2.0 * _PANEL_WH / (rate + abs(q / r)))
+        edges.append(s)
+
+
+def _band_integral(mu: float, m: float, beta2: float, c: float,
+                   delta: float, tol: float, budget: int) -> QuadratureResult:
+    """The lambda-integral, not divided by pi, near the axis.
+
+    Two real saddles, where d(c*lambda -+ R)/dlambda = 0, lie inside
+    [-L, L].  That segment is cut into equal K15 panels, so the carrier
+    e^{i c lambda} folds into fixed weights and one phase per panel.  Past
+    L, j_0(R) = (e^{iR} - e^{-iR}) / (2iR), and each part goes up or down
+    a vertical ray, where it decays like e^{-(1 +- c) s}.  The error is the
+    K15 - G7 difference of every panel plus a rounding floor.  A layout of
+    more than ``budget`` nodes is reported unconverged before any
+    evaluation, with n_evals = 0.
+    """
+    def unconverged():
+        return QuadratureResult(value=0j, error_estimate=_OFLOW, n_evals=0,
+                                converged=False)
+
+    sin_eta = math.sqrt(delta * (2.0 - delta))
+    big_l = max(mu, abs(m) + abs(c) * math.sqrt(beta2) / sin_eta) + math.pi
+    n_seg = big_l * (1.0 + abs(c)) / _PANEL_WH
+    if 15.0 * n_seg > budget:
+        return unconverged()
+    n_seg = math.ceil(n_seg)
+    # rays (a, +1 up / -1 down, rate), rate = 1 + sign*c without
+    # cancellation; the left tail is the right one under lambda -> -lambda,
+    # m -> -m, c -> -c, which leaves c*m alone
+    one_minus, one_plus = ((delta, 2.0 - delta) if c > 0
+                           else (2.0 - delta, delta))
+    rays = [(big_l - m, 1.0, one_plus), (big_l - m, -1.0, one_minus),
+            (big_l + m, 1.0, one_minus), (big_l + m, -1.0, one_plus)]
+    ray_edges = [_ray_edges(a, beta2, rate) for a, _, rate in rays]
+    n_evals = 15 * (n_seg + sum(e.size - 1 for e in ray_edges))
+    if n_evals > budget:
+        return unconverged()
+
+    # e^{i c u} with c = sign*(1 - delta) taken apart: a rounded c would
+    # shift the slow phase (c -+ 1)*lambda by about eps*L, alike over the
+    # whole segment
+    sign_c = math.copysign(1.0, c)
+
+    def carrier(u):
+        return np.exp((1j * sign_c) * u) * np.exp((-1j * sign_c * delta) * u)
+
+    # the segment in u = lambda - m, in chunks that all share one layout:
+    # a node is the chunk's start plus a fixed offset, rounded once, and
+    # its phase is the start's times the offset's
+    width = 2.0 * big_l / n_seg
+    chunk = _CHUNK_NODES // 15
+    step = min(chunk, n_seg)
+    h, x0 = _k15_nodes([0.0], [width])
+    x0 = x0[0]
+    w = h[0] * carrier(x0)
+    wk = w * _WK15
+    wd = wk.copy()
+    wd[1::2] -= w[1::2] * _WG7
+    w_parts = np.column_stack([wk.real, wk.imag, wd.real, wd.imag])
+    w_abs = h[0] * _WK15
+    offsets = width * np.arange(step)
+    table = carrier(offsets)
+    local = offsets[:, None] + x0
+    value, err, absum = 0j, 0.0, 0.0
+    for i in range(0, n_seg, step):
+        n = min(step, n_seg - i)
+        u0 = (-big_l - m) + width * i
+        fx = _chord_j0((u0 + local[:n]).ravel(), beta2).reshape(n, 15)
+        sums = fx @ w_parts
+        value += (complex(carrier(u0))
+                  * complex(table[:n] @ (sums[:, 0] + 1j * sums[:, 1])))
+        err += float(np.sum(np.hypot(sums[:, 2], sums[:, 3])))
+        # a node at lambda carries an argument rounded by eps*|lambda|
+        np.abs(fx, out=fx)
+        absum += float((1.0 + abs(m) + width + np.abs(u0 + offsets[:n]))
+                       @ (fx @ w_abs))
+
+    for (a, sign, rate), edges in zip(rays, ray_edges):
+        for j in range(0, edges.size - 1, chunk):
+            h, s = _k15_nodes(edges[:-1][j:j + chunk], edges[1:][j:j + chunk])
+            # e^{i(c*lambda + sign*R)} / (2R) = e^{i c m} e^{i sign rate a}
+            # e^{i sign q - rate s} / (2R) with z = a + i*sign*s, and
+            # q = R - z = beta^2 / (R + z) free of cancellation
+            z = a + (1j * sign) * s
+            r = np.sqrt(z * z + beta2)
+            fx = np.exp((1j * sign) * (beta2 / (r + z)) - rate * s)
+            fx /= 2.0 * r
+            k = fx @ _WK15
+            value += complex(h @ k) * complex(np.exp(1j * sign * rate * a))
+            err += float(h @ np.abs(k - fx[:, 1::2] @ _WG7))
+            absum += (1.0 + rate * a) * float(h @ (np.abs(fx) @ _WK15))
+    value *= complex(carrier(m))
+    err += _EPMACH * absum
+    return QuadratureResult(value=value, error_estimate=err, n_evals=n_evals,
+                            converged=bool(err <= tol))
+
+
+def _rep_integral(mu: float, cos_theta: float, cos_eta: float, delta: float,
+                  tol: float, max_cell_pairs: int) -> QuadratureResult:
+    """The lambda-integral divided by pi, for mu > 0, |cos_eta| < 1, with
+    delta = 1 - |cos_eta| > 0."""
 
     m = mu * cos_theta
     beta2 = mu * mu * ((1.0 - cos_theta) * (1.0 + cos_theta))
-    if beta2 > 0.0:
-        def integrand(lam):
-            # R = sqrt((lam - m)^2 + beta^2) >= beta > 0: sin(R)/R has no
-            # zero to mask, and is computed in place
-            r = lam - m
-            np.square(r, out=r)
-            r += beta2
-            np.sqrt(r, out=r)
-            out = np.sin(r)
-            out /= r
-            return out
+    if delta * _MAX_CELL_HALF_PERIODS < 1.0:
+        # the beat is wider than the engine's widest cell, where its cells
+        # no longer alternate with it
+        res = _band_integral(mu, m, beta2, cos_eta, delta, tol * np.pi,
+                             max_cell_pairs * 2 * _MAX_CELL_HALF_PERIODS * 15)
     else:
-        def integrand(lam):
-            # cos_theta = +-1: R = |lam - m| reaches 0
-            return _sph_j0(np.abs(lam - m))
-
-    delta = 1.0 - abs(cos_eta)
-    # the integrand carries phases (1 +- cos_eta)*lambda at large |lambda|;
-    # near the axis the (1 - |cos_eta|) component beats slowly and sets the
-    # cell size.  However slow the beat (delta > 0 off the axis), it is
-    # passed on: half-period cells cannot see a beat past the budget and
-    # converge to the axis's Dirichlet midpoint, half the field, claiming
-    # 1e-11 (omega=1, cos_theta=0, z=1, rho=1e-6 did)
-    beat = 2.0 * np.pi / delta
-    res = integrate_oscillatory_infinite(
-        integrand, period_hint=2.0 * np.pi, tol=tol * np.pi,
-        max_cell_pairs=max_cell_pairs,
-        tail_start=mu + np.pi, beat_hint=beat, carrier=cos_eta)
+        # the integrand carries phases (1 +- cos_eta)*lambda at large
+        # |lambda|; the (1 - |cos_eta|) component beats slowly and sets the
+        # cell size.  Half-period cells would converge to the axis's
+        # Dirichlet midpoint, half the field
+        res = integrate_oscillatory_infinite(
+            lambda lam: _chord_j0(lam - m, beta2), period_hint=2.0 * np.pi,
+            tol=tol * np.pi, max_cell_pairs=max_cell_pairs,
+            tail_start=mu + np.pi,
+            beat_hint=2.0 * np.pi / (1.0 - abs(cos_eta)), carrier=cos_eta)
     return QuadratureResult(value=res.value / np.pi,
                             error_estimate=res.error_estimate / np.pi,
                             n_evals=res.n_evals, converged=res.converged)
@@ -88,7 +229,9 @@ def eval_integral_rep(b: BeamParams, p: FieldPoint, tol: float = 1e-9,
     mu = |omega|*r).  A medium enters only through
     mu = n(omega)*|omega|*r.  Non-convergence is reported through the
     flag, never raised.  ``tol`` and ``max_cell_pairs`` are checked at every
-    point, the analytic origin and axis included.
+    point, the analytic origin and axis included.  Near the axis
+    ``max_cell_pairs`` is a budget of ``max_cell_pairs * 15360`` nodes, the
+    most the cell engine evaluates.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive: {tol!r}")
@@ -108,7 +251,10 @@ def eval_integral_rep(b: BeamParams, p: FieldPoint, tol: float = 1e-9,
         phase = np.sign(b.omega) * mu * b.cos_theta * sph.cos_eta
         return QuadratureResult(value=complex(np.exp(1j * phase) * tfac),
                                 error_estimate=0.0, n_evals=0, converged=True)
-    res = _rep_integral(mu, b.cos_theta, sph.cos_eta, tol, max_cell_pairs)
+    # 1 - |cos_eta| without cancellation
+    delta = (p.rho / sph.r) * (p.rho / (sph.r + abs(p.z)))
+    res = _rep_integral(mu, b.cos_theta, sph.cos_eta, delta, tol,
+                        max_cell_pairs)
     value = res.value
     if b.omega < 0:
         value = value.conjugate()

@@ -56,8 +56,11 @@ _NEVILLE_NODES = 16
 # nodes per integrand call of the cell loop: whole cell pairs up to this
 # many, and one pair when a single pair holds more
 _BATCH_NODES = 2048
-# most nodes on one side of a cell (8x the widest in-tree cell, 512
-# half-periods at one sub-panel each); a faster carrier is refused
+# widest beat cell, in half-periods: a beat past twice this many
+# half-periods no longer alternates cell to cell
+_MAX_CELL_HALF_PERIODS = 512
+# most nodes on one side of a cell (8x the widest in-tree cell,
+# _MAX_CELL_HALF_PERIODS at one sub-panel each); a faster carrier is refused
 _MAX_CELL_NODES = 65536
 
 
@@ -435,7 +438,8 @@ def integrate_oscillatory_infinite(f: Callable, period_hint: float,
     base_half = 0.5 * period_hint
     cells_per_side = 1
     if beat_hint is not None and beat_hint > 2.0 * period_hint:
-        cells_per_side = min(math.ceil(0.5 * beat_hint / base_half), 512)
+        cells_per_side = min(math.ceil(0.5 * beat_hint / base_half),
+                             _MAX_CELL_HALF_PERIODS)
     half = cells_per_side * base_half
     # sub-panels of half-width h with w_max*h <= 3*pi/2, where K15 still
     # integrates exp(i*w*x) to about 6e-17 per unit length; w_max covers

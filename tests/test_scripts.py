@@ -18,7 +18,8 @@ def _load(path: Path):
 
 
 def test_scripts_found():
-    assert {p.stem for p in SCRIPTS} >= {"field_map_demo", "identity_suite",
+    assert {p.stem for p in SCRIPTS} >= {"domain_sweep", "field_map_demo",
+                                         "identity_suite",
                                          "triple_sum_convergence"}
 
 
@@ -32,3 +33,14 @@ def test_identity_suite_planewave_passes(capsys):
     mod = _load(next(p for p in SCRIPTS if p.stem == "identity_suite"))
     assert mod.main(["--suite", "planewave"]) == 0
     assert "6/6 reports pass" in capsys.readouterr().out
+
+
+def test_domain_sweep_three_draws(capsys):
+    # the first three draws of the seeded domain sweep, one report line
+    # per route and no silent miss
+    mod = _load(next(p for p in SCRIPTS if p.stem == "domain_sweep"))
+    assert mod.main(["--n", "3"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("3 draws, seed 12345\n")
+    rows = {ln.split()[0]: ln.split()[1:3] for ln in out.splitlines()[2:]}
+    assert rows == {"series": ["0", "0"], "integral": ["0", "0"]}
