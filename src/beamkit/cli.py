@@ -17,7 +17,16 @@ grid serially and reads no thread-count variable: every route holds the
 interpreter lock, and on the README grid with 2 vCPUs a 2-thread pool made
 the direct and series maps slower and left the integral map within noise.
 Serially, as process wall on a 2-vCPU Xeon, the README grid takes
-0.34-0.38 s direct, 0.76-1.10 s series and 1.9-2.1 s integral.
+0.35-0.45 s direct, 1.10-1.42 s series and 1.76-2.17 s integral.
+
+``main`` builds the parser on its first call and keeps it for the life of
+the process.  Building it costs 1.0-1.7 ms, more than the direct route
+spends on a 41-point map row, which a caller running ``map`` once per row
+would pay on every row; a one-row direct ``map`` through ``main`` takes
+0.9-1.9 ms.  Importing the module builds nothing.  Subcommands are looked
+up by name at call time, not bound into the parser, so a ``cmd_*``
+rebound on this module after the first call (a tracer, a test's
+monkeypatch) is the one that runs.
 """
 from __future__ import annotations
 
@@ -242,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="constant term of the Cauchy index")
     ev.add_argument("--cauchy-b", type=float, default=0.0,
                     help="quadratic term of the Cauchy index")
-    ev.set_defaults(func=cmd_eval)
 
     mp = sub.add_parser("map", help="field map over a (z, rho) grid")
     mp.add_argument("--rep", choices=("direct", "series", "integral"),
@@ -257,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     mp.add_argument("--t", type=float, default=0.0)
     mp.add_argument("--out", required=True)
     mp.add_argument("--format", choices=("csv", "json"), default="csv")
-    mp.set_defaults(func=cmd_map)
 
     vf = sub.add_parser("verify", help="run identity report suites")
     vf.add_argument("--suite", choices=("all",) + SUITE_NAMES,
@@ -265,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     vf.add_argument("--out", default=None,
                     help="report file; stdout when omitted")
     vf.add_argument("--format", choices=("json",), default="json")
-    vf.set_defaults(func=cmd_verify)
 
     ls = sub.add_parser("legendre-sum",
                         help="triple-Legendre partial sums vs closed form")
@@ -275,21 +281,28 @@ def build_parser() -> argparse.ArgumentParser:
     ls.add_argument("--n-max", type=int, required=True)
     ls.add_argument("--mode", choices=("raw", "cesaro", "double_average"),
                     default="cesaro")
-    ls.set_defaults(func=cmd_legendre_sum)
 
     xw = sub.add_parser("xwave", help="X-wave closed form at a point")
     xw.add_argument("--cos-theta", type=float, required=True)
     _add_point_flags(xw)
-    xw.set_defaults(func=cmd_xwave)
 
     return ap
 
 
+_PARSER = None
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
+    # by name at call time: a cmd_* rebound after the first call must run
+    command = {"eval": cmd_eval, "map": cmd_map, "verify": cmd_verify,
+               "legendre-sum": cmd_legendre_sum,
+               "xwave": cmd_xwave}[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -332,6 +332,90 @@ class TestXwaveCmd:
         assert rc == 2
 
 
+class TestOneParser:
+    """``main`` builds its parser once and looks each subcommand up by name."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_parser(self, monkeypatch):
+        monkeypatch.setattr(cli, "_PARSER", None)
+
+    @staticmethod
+    def _map_argv(out, *extra):
+        return ["map", "--rep", "direct", "--omega", "2.0",
+                "--cos-theta", "0.6", "--z-min", "0", "--z-max", "1",
+                "--z-steps", "2", "--rho-min", "0", "--rho-max", "1",
+                "--rho-steps", "2", "--out", str(out), *extra]
+
+    def test_built_once_across_subcommands(self, tmp_path, capsys,
+                                           monkeypatch):
+        builds = []
+        real = cli.build_parser
+
+        def counting():
+            builds.append(1)
+            return real()
+        monkeypatch.setattr(cli, "build_parser", counting)
+        assert main(["xwave", "--cos-theta", "0.6", "--z", "0.5",
+                     "--rho", "2.0", "--t", "0.6"]) == 0
+        assert main(["legendre-sum", "--cos-theta", "0", "--cos-eta", "0",
+                     "--cos-gamma", "0", "--n-max", "20"]) == 0
+        assert main(self._map_argv(tmp_path / "m.csv")) == 0
+        assert len(builds) == 1
+
+    def test_rebinding_after_first_call_runs(self, tmp_path, capsys,
+                                             monkeypatch):
+        # a tracer rebinds cli.cmd_* once the parser may already exist
+        assert main(self._map_argv(tmp_path / "m.csv")) == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_map",
+                            lambda args: seen.append(("map", args.rep)) or 7)
+        monkeypatch.setattr(cli, "cmd_verify",
+                            lambda args: seen.append(("verify", args.suite))
+                            or 8)
+        assert main(self._map_argv(tmp_path / "m.csv")) == 7
+        assert main(["verify", "--suite", "planewave"]) == 8
+        assert seen == [("map", "direct"), ("verify", "planewave")]
+
+    def test_map_format_does_not_carry_over(self, tmp_path, capsys):
+        assert main(self._map_argv(tmp_path / "a", "--format", "json")) == 0
+        assert json.loads((tmp_path / "a").read_text())
+        assert main(self._map_argv(tmp_path / "b")) == 0
+        lines = (tmp_path / "b").read_text().splitlines()
+        assert lines[0] == "z,rho,t,re,im,abs"
+        assert len(lines) == 5
+
+    def test_dispersion_does_not_carry_over(self, capsys):
+        argv = ["eval", "--rep", "direct", "--omega", "1.5",
+                "--cos-theta", "0.6", "--z", "0.5", "--rho", "0.8"]
+        assert main(argv + ["--dispersion", "constant", "--n0", "1.5"]) == 0
+        capsys.readouterr()
+        assert main(argv) == 0
+        got = _parse_eval_line(capsys.readouterr().out.strip())
+        want = eval_direct(BeamParams(omega=1.5, cos_theta=0.6),
+                           FieldPoint(z=0.5, rho=0.8, t=0.0))
+        assert complex(got["re"], got["im"]) == want
+
+    def test_usage_error_then_valid_call(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["xwave", "--cos-theta", "0.6", "--bogus"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(["xwave", "--cos-theta", "0.6", "--z", "0.5",
+                     "--rho", "2.0", "--t", "0.6"]) == 0
+        out = capsys.readouterr().out
+        assert float(out.strip().split("=")[1]) == pytest.approx(
+            1.272569525951555544957, rel=1e-14)
+
+    def test_help_is_the_fresh_parsers(self, capsys):
+        assert main(["xwave", "--cos-theta", "0.0", "--rho", "1.0",
+                     "--t", "1.5"]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == cli.build_parser().format_help()
+
+
 # NaN fails both `abs(c) > 1` and `x < 0`, so each domain check is written
 # to refuse it; non-finite coordinates are refused as well
 @pytest.mark.parametrize("argv", [
