@@ -14,16 +14,19 @@ no zero to mask.  The engine is handed the real factor j_0(R) and the
 carrier frequency cos eta: it folds exp(i*lambda*cos eta) into its cell
 weights, so no complex exponential is evaluated per node.
 
-Near the axis the integrand beats at delta = 1 - |cos eta|, computed as
-rho^2 / (r (r + |z|)).  Where delta * 512 < 1 that beat is wider than the
-engine's widest cell (512 half-periods), and the cells no longer alternate
-with it.  Those points take a ray quadrature instead (the steepest-descent
-idea of Huybrechs and Vandewalle, SIAM J. Numer. Anal. 44, 2006): K15
-panels on [-L, L], L = max(mu, lambda_s) + pi past the real saddle
-lambda_s = |m| + |cos eta| beta / sin eta, and the two parts
-e^{+-iR} / (2iR) of each tail up and down vertical rays, where they decay
-like e^{-(1 +- cos eta) s}.  Its cost grows like lambda_s, about 1/rho;
-past a node budget it reports converged=False without evaluating.
+The integrand beats at delta = 1 - |cos eta|, computed as
+rho^2 / (r (r + |z|)).  Where 2 * delta < 1 the beat 2 pi / delta is more
+than twice the period, and the engine would widen its cells to half the
+beat: there, and above all near the axis, where delta * 512 < 1 puts the
+beat past the engine's widest cell, the points take a ray quadrature
+instead (the steepest-descent idea of Huybrechs and Vandewalle, SIAM J.
+Numer. Anal. 44, 2006): K15 panels on [-L, L], L = max(mu, lambda_s) + pi
+past the real saddle lambda_s = |m| + |cos eta| beta / sin eta, and the
+two parts e^{+-iR} / (2iR) of each tail up and down vertical rays, where
+they decay like e^{-(1 +- cos eta) s}.  Its cost grows like lambda_s,
+about 1/rho; past a node budget it reports converged=False without
+evaluating.  Points with delta >= 1/2 keep the engine, which costs about
+as much as the rays there.
 
 On the axis (|cos eta| = 1) the symmetric limit of the lambda-integral is
 exactly half the field: j_n under the integral is the Fourier transform of
@@ -35,15 +38,16 @@ inside the open interval), exactly as the origin already is.
 """
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
 
 from .beamcore import (_VACUUM, BeamParams, DispersionModel, FieldPoint,
                        to_spherical)
-from .oscquad import (_EPMACH, _MAX_CELL_HALF_PERIODS, _OFLOW, _WG7, _WK15,
-                      QuadratureResult, _check_cell_budget, _k15_nodes,
-                      integrate_oscillatory_infinite)
+from .oscquad import (_EPMACH, _MAX_CELL_HALF_PERIODS, _NODES, _OFLOW, _WG7,
+                      _WK15, QuadratureResult, _check_cell_budget,
+                      _k15_nodes, integrate_oscillatory_infinite)
 from .specfun import _sph_j0
 
 __all__ = [
@@ -51,13 +55,16 @@ __all__ = [
 ]
 
 
-# ray quadrature of the near-axis band: nodes per integrand call, and
+# ray quadrature: nodes per integrand call, and
 # omega*h of its K15 panels for the highest local frequency omega, where G7
 # is within about 3e-13 per unit length of K15
 _CHUNK_NODES = 32768
 _PANEL_WH = 1.5
 # a ray ends where its integrand times its decay length is below this
 _RAY_CUT = 1e-3 * _EPMACH
+# K15 weights and K15 - G7 weights, as the columns of one matrix
+_WKD = np.column_stack([_WK15, _WK15])
+_WKD[1::2, 1] -= _WG7
 
 
 def _chord_j0(u, beta2: float):
@@ -75,41 +82,43 @@ def _chord_j0(u, beta2: float):
     return _sph_j0(np.abs(u))
 
 
-def _ray_edges(a: float, beta2: float, rate: float) -> np.ndarray:
+def _ray_edges(a: float, beta2: float, rate: float) -> list:
     """Panel edges in s on the vertical ray z = a +- i*s (z = lambda - m,
     a > 0) of a part that decays at ``rate``, out to where it is negligible.
     """
     beta = math.sqrt(beta2)
+    cut = _RAY_CUT * 2.0 * rate
+    wide = 2.0 * _PANEL_WH
     s = 0.0
     edges = [s]
     while True:
         z = complex(a, s)
-        r = (z * z + beta2) ** 0.5
+        r = cmath.sqrt(z * z + beta2)
         q = beta2 / (r + z)
         # |e^{+-i q - rate s} / (2R)| is the same on either ray; past the
         # saddle it only falls, so the rest of the ray adds at most this
         # over its decay length 1/rate
-        if math.exp(-rate * s - q.imag) <= _RAY_CUT * 2.0 * abs(r) * rate:
-            return np.array(edges)
+        if math.exp(-rate * s - q.imag) <= cut * abs(r):
+            return edges
         # a panel resolves the local frequency rate + |q/R| and keeps well
         # away from the branch point of R at +-i*beta
-        s += min(0.4 * abs(z - 1j * beta),
-                 2.0 * _PANEL_WH / (rate + abs(q / r)))
+        s += min(0.4 * math.hypot(a, s - beta), wide / (rate + abs(q / r)))
         edges.append(s)
 
 
 def _band_integral(mu: float, m: float, beta2: float, c: float,
                    delta: float, tol: float, budget: int) -> QuadratureResult:
-    """The lambda-integral, not divided by pi, near the axis.
+    """The lambda-integral, not divided by pi, off the axis.
 
     Two real saddles, where d(c*lambda -+ R)/dlambda = 0, lie inside
     [-L, L].  That segment is cut into equal K15 panels, so the carrier
     e^{i c lambda} folds into fixed weights and one phase per panel.  Past
     L, j_0(R) = (e^{iR} - e^{-iR}) / (2iR), and each part goes up or down
-    a vertical ray, where it decays like e^{-(1 +- c) s}.  The error is the
-    K15 - G7 difference of every panel plus a rounding floor.  A layout of
-    more than ``budget`` nodes is reported unconverged before any
-    evaluation, with n_evals = 0.
+    a vertical ray, where it decays like e^{-(1 +- c) s}; the panels of all
+    four rays share one integrand call.  The error is the K15 - G7
+    difference of every panel plus a rounding floor.  A layout of more
+    than ``budget`` nodes is reported unconverged before any evaluation,
+    with n_evals = 0.
     """
     def unconverged():
         return QuadratureResult(value=0j, error_estimate=_OFLOW, n_evals=0,
@@ -126,10 +135,15 @@ def _band_integral(mu: float, m: float, beta2: float, c: float,
     # m -> -m, c -> -c, which leaves c*m alone
     one_minus, one_plus = ((delta, 2.0 - delta) if c > 0
                            else (2.0 - delta, delta))
-    rays = [(big_l - m, 1.0, one_plus), (big_l - m, -1.0, one_minus),
-            (big_l + m, 1.0, one_minus), (big_l + m, -1.0, one_plus)]
-    ray_edges = [_ray_edges(a, beta2, rate) for a, _, rate in rays]
-    n_evals = 15 * (n_seg + sum(e.size - 1 for e in ray_edges))
+    rays = ((big_l - m, 1.0, one_plus), (big_l - m, -1.0, one_minus),
+            (big_l + m, 1.0, one_minus), (big_l + m, -1.0, one_plus))
+    lo, hi, counts = [], [], []
+    for a, _, rate in rays:
+        edges = _ray_edges(a, beta2, rate)
+        lo += edges[:-1]
+        hi += edges[1:]
+        counts.append(len(edges) - 1)
+    n_evals = 15 * (n_seg + len(lo))
     if n_evals > budget:
         return unconverged()
 
@@ -138,8 +152,8 @@ def _band_integral(mu: float, m: float, beta2: float, c: float,
     # whole segment
     sign_c = math.copysign(1.0, c)
 
-    def carrier(u):
-        return np.exp((1j * sign_c) * u) * np.exp((-1j * sign_c * delta) * u)
+    def carrier(u, exp=cmath.exp):
+        return exp((1j * sign_c) * u) * exp((-1j * sign_c * delta) * u)
 
     # the segment in u = lambda - m, in chunks that all share one layout:
     # a node is the chunk's start plus a fixed offset, rounded once, and
@@ -147,16 +161,15 @@ def _band_integral(mu: float, m: float, beta2: float, c: float,
     width = 2.0 * big_l / n_seg
     chunk = _CHUNK_NODES // 15
     step = min(chunk, n_seg)
-    h, x0 = _k15_nodes([0.0], [width])
-    x0 = x0[0]
-    w = h[0] * carrier(x0)
-    wk = w * _WK15
-    wd = wk.copy()
-    wd[1::2] -= w[1::2] * _WG7
-    w_parts = np.column_stack([wk.real, wk.imag, wd.real, wd.imag])
-    w_abs = h[0] * _WK15
+    half = 0.5 * width
+    x0 = half + half * _NODES
+    w = half * carrier(x0, np.exp)
+    wk = w * _WKD[:, 0]
+    wd = w * _WKD[:, 1]
+    w_parts = np.array([wk.real, wk.imag, wd.real, wd.imag]).T
+    w_abs = half * _WK15
     offsets = width * np.arange(step)
-    table = carrier(offsets)
+    table = carrier(offsets, np.exp)
     local = offsets[:, None] + x0
     value, err, absum = 0j, 0.0, 0.0
     for i in range(0, n_seg, step):
@@ -164,29 +177,36 @@ def _band_integral(mu: float, m: float, beta2: float, c: float,
         u0 = (-big_l - m) + width * i
         fx = _chord_j0((u0 + local[:n]).ravel(), beta2).reshape(n, 15)
         sums = fx @ w_parts
-        value += (complex(carrier(u0))
-                  * complex(table[:n] @ (sums[:, 0] + 1j * sums[:, 1])))
+        value += carrier(u0) * complex(
+            table[:n] @ (sums[:, 0] + 1j * sums[:, 1]))
         err += float(np.sum(np.hypot(sums[:, 2], sums[:, 3])))
         # a node at lambda carries an argument rounded by eps*|lambda|
         np.abs(fx, out=fx)
         absum += float((1.0 + abs(m) + width + np.abs(u0 + offsets[:n]))
                        @ (fx @ w_abs))
 
-    for (a, sign, rate), edges in zip(rays, ray_edges):
-        for j in range(0, edges.size - 1, chunk):
-            h, s = _k15_nodes(edges[:-1][j:j + chunk], edges[1:][j:j + chunk])
-            # e^{i(c*lambda + sign*R)} / (2R) = e^{i c m} e^{i sign rate a}
-            # e^{i sign q - rate s} / (2R) with z = a + i*sign*s, and
-            # q = R - z = beta^2 / (R + z) free of cancellation
-            z = a + (1j * sign) * s
-            r = np.sqrt(z * z + beta2)
-            fx = np.exp((1j * sign) * (beta2 / (r + z)) - rate * s)
-            fx /= 2.0 * r
-            k = fx @ _WK15
-            value += complex(h @ k) * complex(np.exp(1j * sign * rate * a))
-            err += float(h @ np.abs(k - fx[:, 1::2] @ _WG7))
-            absum += (1.0 + rate * a) * float(h @ (np.abs(fx) @ _WK15))
-    value *= complex(carrier(m))
+    # every ray panel, with its ray's a, sign, rate, e^{i sign rate a} and
+    # rounding weight 1 + rate*a
+    per_ray = np.array([(a, sign, rate, cmath.exp(1j * sign * rate * a),
+                         1.0 + rate * a) for a, sign, rate in rays])
+    per_panel = np.repeat(per_ray, counts, axis=0)
+    lo, hi = np.array(lo), np.array(hi)
+    for j in range(0, lo.size, chunk):
+        a, sign, rate, phase, weight = per_panel[j:j + chunk].T
+        h, s = _k15_nodes(lo[j:j + chunk], hi[j:j + chunk])
+        # e^{i(c*lambda + sign*R)} / (2R) = e^{i c m} e^{i sign rate a}
+        # e^{i sign q - rate s} / (2R) with z = a + i*sign*s, and
+        # q = R - z = beta^2 / (R + z) free of cancellation
+        z = a[:, None] + (1j * sign)[:, None] * s
+        r = np.sqrt(z * z + beta2)
+        fx = np.exp((1j * sign)[:, None] * (beta2 / (r + z))
+                    - rate.real[:, None] * s)
+        fx /= 2.0 * r
+        kd = fx @ _WKD
+        value += complex((h * phase) @ kd[:, 0])
+        err += float(h @ np.abs(kd[:, 1]))
+        absum += float((weight.real * h) @ (np.abs(fx) @ _WK15))
+    value *= carrier(m)
     err += _EPMACH * absum
     return QuadratureResult(value=value, error_estimate=err, n_evals=n_evals,
                             converged=bool(err <= tol))
@@ -199,9 +219,11 @@ def _rep_integral(mu: float, cos_theta: float, cos_eta: float, delta: float,
 
     m = mu * cos_theta
     beta2 = mu * mu * ((1.0 - cos_theta) * (1.0 + cos_theta))
-    if delta * _MAX_CELL_HALF_PERIODS < 1.0:
-        # the beat is wider than the engine's widest cell, where its cells
-        # no longer alternate with it
+    if 2.0 * delta < 1.0:
+        # the beat 2 pi / delta is more than twice the period 2 pi: the
+        # engine would widen its cells to half the beat, which costs more
+        # than the rays, and past its widest cell (delta < 1/512) cannot
+        # converge at all
         res = _band_integral(mu, m, beta2, cos_eta, delta, tol * np.pi,
                              max_cell_pairs * 2 * _MAX_CELL_HALF_PERIODS * 15)
     else:
@@ -229,9 +251,10 @@ def eval_integral_rep(b: BeamParams, p: FieldPoint, tol: float = 1e-9,
     mu = |omega|*r).  A medium enters only through
     mu = n(omega)*|omega|*r.  Non-convergence is reported through the
     flag, never raised.  ``tol`` and ``max_cell_pairs`` are checked at every
-    point, the analytic origin and axis included.  Near the axis
-    ``max_cell_pairs`` is a budget of ``max_cell_pairs * 15360`` nodes, the
-    most the cell engine evaluates.
+    point, the analytic origin and axis included.  Where
+    ``1 - |cos eta| < 1/2`` (the ray quadrature) ``max_cell_pairs`` is a
+    budget of ``max_cell_pairs * 15360`` nodes, the most the cell engine
+    evaluates.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive: {tol!r}")

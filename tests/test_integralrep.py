@@ -1,11 +1,14 @@
 import cmath
+import importlib.util
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from beamkit import integralrep
 from beamkit.beamcore import BeamParams, FieldPoint, cauchy, eval_direct, vacuum
 from beamkit.integralrep import _RAY_CUT, _ray_edges, eval_integral_rep
 
@@ -99,7 +102,7 @@ class TestNearAxis:
 
     @pytest.mark.parametrize("a,beta2,rate", [
         (100.0, 4.0, 2.0), (100.0, 4.0, 1e-4), (5e5, 1e4, 1e-9),
-        (2e3, 1.6e3, 5e-4)])
+        (2e3, 1.6e3, 5e-4), (3.2, 9.0, 0.5), (3.2, 9.0, 1.5)])
     def test_ray_ends_where_integrand_negligible(self, a, beta2, rate):
         # |e^{+-iq - rate s} / (2R)| at the last edge is below the cut over
         # the decay length 1/rate, and nowhere past it is larger
@@ -117,10 +120,35 @@ class TestNearAxis:
         assert max(log_mag(s) for s in beyond) <= log_mag(end)
 
 
+class TestRouteSelection:
+    @pytest.mark.parametrize("scale,engine_calls", [
+        (1.0 - 1e-9, 0), (1.0 + 1e-9, 1)], ids=["rays", "engine"])
+    def test_engine_only_from_half(self, monkeypatch, scale, engine_calls):
+        # rho = sqrt(3) z puts 1 - |cos eta| at 1/2: just below it the rays
+        # take the point, at and above it the cell engine
+        calls = []
+        engine = integralrep.integrate_oscillatory_infinite
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return engine(*args, **kwargs)
+
+        monkeypatch.setattr(integralrep, "integrate_oscillatory_infinite",
+                            counting)
+        b = BeamParams(omega=3.0, cos_theta=0.6)
+        p = FieldPoint(z=1.2, rho=1.2 * math.sqrt(3.0) * scale, t=0.4)
+        res = eval_integral_rep(b, p)
+        assert len(calls) == engine_calls
+        assert res.converged is True
+        assert abs(res.value - eval_direct(b, p)) <= 1e-9
+
+
 class TestDomainSweepPoints:
     # ROADMAP item 3: points of the seeded 600-point domain sweep that the
     # cell engine returned 0.015-0.93 off with converged=True, as
-    # (omega, cos_theta, z, rho, t) rounded to 4 digits
+    # (omega, cos_theta, z, rho, t) rounded to 4 digits.  BAND lies within
+    # 1 - |cos eta| < 1/512, OFF_BAND between 1/512 and 1/2; both now take
+    # the rays
     BAND = [(1412, -0.6725, -4.243, 0.0004952, 2.33),
             (1184, 0.2099, 3.945, 0.001264, -1.669),
             (1904, 0.2398, 4.592, 0.0127, -2.034),
@@ -143,12 +171,29 @@ class TestDomainSweepPoints:
     def test_near_axis_band(self, pt):
         self._right_or_flagged(*pt)
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 3: off the near-axis band the cell engine still "
-        "returns these 0.015-0.019 off with converged=True"))
     @pytest.mark.parametrize("pt", OFF_BAND, ids=lambda pt: f"omega{pt[0]}")
     def test_off_band(self, pt):
         self._right_or_flagged(*pt)
+
+    def test_first_sweep_draws_right_or_flagged(self):
+        # the first 100 draws of scripts/domain_sweep.py (seed 12345),
+        # through the integral route alone: each within 1e-6 of the closed
+        # form or flagged, and none slow.  About 1 s in all; the slowest
+        # point takes about 0.2 s
+        path = Path(__file__).resolve().parent.parent / "scripts"
+        spec = importlib.util.spec_from_file_location(
+            "_script_domain_sweep", path / "domain_sweep.py")
+        sweep = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sweep)
+        for omega, cos_theta, z, rho, t in sweep.draws(100, 12345):
+            b = BeamParams(omega=omega, cos_theta=cos_theta)
+            p = FieldPoint(z=z, rho=rho, t=t)
+            t0 = time.perf_counter()
+            res = eval_integral_rep(b, p)
+            elapsed = time.perf_counter() - t0
+            assert (res.converged is False
+                    or abs(res.value - eval_direct(b, p)) <= 1e-6), (b, p)
+            assert elapsed < 1.0, (b, p)
 
 
 class TestOffAxis:
@@ -212,10 +257,22 @@ class TestConvergenceReporting:
         assert res.n_evals == 0
 
     def test_budget_exhaustion_flags_not_raises(self):
+        # 1 - |cos eta| = 0.85 takes the cell engine, which runs out of
+        # its 3 cell pairs before reaching tol
         b = BeamParams(omega=3.0, cos_theta=0.6)
-        p = FieldPoint(1.0, 0.8, 0.0)
+        p = FieldPoint(0.3, 2.0, 0.0)
         res = eval_integral_rep(b, p, tol=1e-13, max_cell_pairs=3)
         assert res.converged is False
+
+    def test_ray_layout_past_budget_flags_not_raises(self):
+        # 1 - |cos eta| = 0.22 takes the rays; at mu = 1280 their segment
+        # alone needs about 22800 nodes, past the budget of 1 * 15360, so
+        # the route says so before evaluating anything
+        b = BeamParams(omega=1000.0, cos_theta=0.6)
+        p = FieldPoint(1.0, 0.8, 0.0)
+        res = eval_integral_rep(b, p, max_cell_pairs=1)
+        assert res.converged is False
+        assert res.n_evals == 0
 
     def test_converged_is_plain_bool(self):
         b = BeamParams(omega=2.0, cos_theta=0.5)
@@ -253,9 +310,9 @@ class TestConvergenceReporting:
 
 class TestReadmeRow:
     def test_z3_row_matches_direct(self):
-        # the README map's z = 3 row: rho = 0 is analytic, rho = 0.1 lies
-        # in the near-axis band and takes the ray quadrature, and every
-        # other point takes the cell engine
+        # the README map's z = 3 row: rho = 0 is analytic, and every other
+        # point has 1 - |cos eta| below 1/2 and takes the ray quadrature;
+        # the cell engine would start only at rho = 3 sqrt(3), past the row
         b = BeamParams(omega=6.0, cos_theta=0.8)
         for rho in np.linspace(0.0, 4.0, 41):
             p = FieldPoint(z=3.0, rho=float(rho), t=0.0)
