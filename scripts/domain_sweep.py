@@ -7,7 +7,10 @@ U(-5, 5); the exponent of rho, U(-4, 0.7); and t, U(-3, 3).  For each
 route the sweep prints how many points it flagged (``converged=False``),
 its silent misses (unflagged, yet further from ``eval_direct`` than the
 route's acceptance tolerance: 1e-10 series, 1e-6 integral) with their
-points, the worst error of an unflagged point, and the time spent.
+points, the worst error of an unflagged point, the time spent, and the
+route's total work over every point (series terms ``n_terms``, integral
+integrand evaluations ``n_evals``), a count that shows a change of layout
+on any host.
 
     python scripts/domain_sweep.py --n 600 --seed 12345
 
@@ -22,8 +25,9 @@ import numpy as np
 from beamkit import (BeamParams, FieldPoint, eval_direct, eval_integral_rep,
                      eval_series)
 
-ROUTES = {"series": (eval_series, 1e-10),
-          "integral": (eval_integral_rep, 1e-6)}
+# route, acceptance tolerance, and the result field that counts its work
+ROUTES = {"series": (eval_series, 1e-10, "n_terms"),
+          "integral": (eval_integral_rep, 1e-6, "n_evals")}
 
 
 def draws(n: int, seed: int):
@@ -53,14 +57,15 @@ def main(argv=None):
              for om, ct, z, rho, t in points]
     print(f"{args.n} draws, seed {args.seed}")
     print(f"{'route':10s} {'flagged':>8s} {'silent':>7s} {'worst err':>10s} "
-          f"{'seconds':>8s}")
+          f"{'seconds':>8s} {'work':>10s}")
     silent_all = []
-    for name, (route, tol) in ROUTES.items():
-        flagged, worst = 0, 0.0
+    for name, (route, tol, work_field) in ROUTES.items():
+        flagged, worst, work = 0, 0.0, 0
         t0 = perf_counter()
         for (om, ct, z, rho, t), ref in zip(points, exact):
             res = route(BeamParams(omega=om, cos_theta=ct),
                         FieldPoint(z=z, rho=rho, t=t))
+            work += getattr(res, work_field)
             err = abs(res.value - ref)
             if not res.converged:
                 flagged += 1
@@ -73,7 +78,7 @@ def main(argv=None):
         secs = perf_counter() - t0
         n_silent = sum(s.startswith(f"silent {name} ") for s in silent_all)
         print(f"{name:10s} {flagged:8d} {n_silent:7d} {worst:10.2e} "
-              f"{secs:8.2f}")
+              f"{secs:8.2f} {work:10d}")
     for line in silent_all:
         print(line)
     return 1 if silent_all else 0

@@ -17,16 +17,17 @@ weights, so no complex exponential is evaluated per node.
 The integrand beats at delta = 1 - |cos eta|, computed as
 rho^2 / (r (r + |z|)).  Where 2 * delta < 1 the beat 2 pi / delta is more
 than twice the period, and the engine would widen its cells to half the
-beat: there, and above all near the axis, where delta * 512 < 1 puts the
-beat past the engine's widest cell, the points take a ray quadrature
-instead (the steepest-descent idea of Huybrechs and Vandewalle, SIAM J.
-Numer. Anal. 44, 2006): K15 panels on [-L, L], L = max(mu, lambda_s) + pi
-past the real saddle lambda_s = |m| + |cos eta| beta / sin eta, and the
-two parts e^{+-iR} / (2iR) of each tail up and down vertical rays, where
-they decay like e^{-(1 +- cos eta) s}.  Its cost grows like lambda_s,
-about 1/rho; past a node budget it reports converged=False without
-evaluating.  Points with delta >= 1/2 keep the engine, which costs about
-as much as the rays there.
+beat; near the axis, where delta * 512 < 1, the beat lies past the
+engine's widest cell.  Every point with delta < 0.9 takes a ray
+quadrature instead (the steepest-descent idea of Huybrechs and
+Vandewalle, SIAM J. Numer. Anal. 44, 2006): K15 panels on [-L, L],
+L = max(mu, lambda_s) + pi past the real saddle
+lambda_s = |m| + |cos eta| beta / sin eta, and the two parts
+e^{+-iR} / (2iR) of each tail up and down vertical rays, where they decay
+like e^{-(1 +- cos eta) s} and the panels widen as the integrand falls.
+Its cost grows like lambda_s, about 1/rho; past a node budget it reports
+converged=False without evaluating.  Points with delta >= 0.9 keep the
+engine, which costs about as much as the rays there.
 
 On the axis (|cos eta| = 1) the symmetric limit of the lambda-integral is
 exactly half the field: j_n under the integral is the Fourier transform of
@@ -62,6 +63,11 @@ _CHUNK_NODES = 32768
 _PANEL_WH = 1.5
 # a ray ends where its integrand times its decay length is below this
 _RAY_CUT = 1e-3 * _EPMACH
+# a ray panel widens by the fall of |f| since the ray's start to this power
+_GROW_POWER = 1.0 / 15.0
+# points with 1 - |cos eta| below this take the rays, the rest the engine;
+# from 0.9 up the rays cost about as much as the engine
+_RAY_BAND = 0.9
 # K15 weights and K15 - G7 weights, as the columns of one matrix
 _WKD = np.column_stack([_WK15, _WK15])
 _WKD[1::2, 1] -= _WG7
@@ -89,6 +95,8 @@ def _ray_edges(a: float, beta2: float, rate: float) -> list:
     beta = math.sqrt(beta2)
     cut = _RAY_CUT * 2.0 * rate
     wide = 2.0 * _PANEL_WH
+    # at s = 0, R = sqrt(a^2 + beta2) and q are real: |2R f| = 1
+    r0 = math.sqrt(a * a + beta2)
     s = 0.0
     edges = [s]
     while True:
@@ -98,11 +106,18 @@ def _ray_edges(a: float, beta2: float, rate: float) -> list:
         # |e^{+-i q - rate s} / (2R)| is the same on either ray; past the
         # saddle it only falls, so the rest of the ray adds at most this
         # over its decay length 1/rate
-        if math.exp(-rate * s - q.imag) <= cut * abs(r):
+        decay = math.exp(-rate * s - q.imag)
+        abs_r = abs(r)
+        if decay <= cut * abs_r:
             return edges
         # a panel resolves the local frequency rate + |q/R| and keeps well
-        # away from the branch point of R at +-i*beta
-        s += min(0.4 * math.hypot(a, s - beta), wide / (rate + abs(q / r)))
+        # away from the branch point of R at +-i*beta.  Where |f| has
+        # fallen by F since s = 0 it widens by F^(1/15): K15 - G7 goes like
+        # h^15 times a 14th derivative that has fallen with |f|, so no
+        # panel's estimate exceeds the first one's
+        grow = (abs_r / (r0 * decay)) ** _GROW_POWER
+        s += min(0.4 * math.hypot(a, s - beta),
+                 wide * grow / (rate + abs(q / r)))
         edges.append(s)
 
 
@@ -115,10 +130,10 @@ def _band_integral(mu: float, m: float, beta2: float, c: float,
     e^{i c lambda} folds into fixed weights and one phase per panel.  Past
     L, j_0(R) = (e^{iR} - e^{-iR}) / (2iR), and each part goes up or down
     a vertical ray, where it decays like e^{-(1 +- c) s}; the panels of all
-    four rays share one integrand call.  The error is the K15 - G7
-    difference of every panel plus a rounding floor.  A layout of more
-    than ``budget`` nodes is reported unconverged before any evaluation,
-    with n_evals = 0.
+    four rays, wider the further the integrand has decayed, share one
+    integrand call.  The error is the K15 - G7 difference of every panel
+    plus a rounding floor.  A layout of more than ``budget`` nodes is
+    reported unconverged before any evaluation, with n_evals = 0.
     """
     def unconverged():
         return QuadratureResult(value=0j, error_estimate=_OFLOW, n_evals=0,
@@ -219,11 +234,11 @@ def _rep_integral(mu: float, cos_theta: float, cos_eta: float, delta: float,
 
     m = mu * cos_theta
     beta2 = mu * mu * ((1.0 - cos_theta) * (1.0 + cos_theta))
-    if 2.0 * delta < 1.0:
-        # the beat 2 pi / delta is more than twice the period 2 pi: the
-        # engine would widen its cells to half the beat, which costs more
-        # than the rays, and past its widest cell (delta < 1/512) cannot
-        # converge at all
+    if delta < _RAY_BAND:
+        # the beat 2 pi / delta is wider than the period 2 pi: below 1/2
+        # the engine would widen its cells to half the beat, and past its
+        # widest cell (delta < 1/512) cannot converge at all; up to 0.9 the
+        # rays cost less than the engine
         res = _band_integral(mu, m, beta2, cos_eta, delta, tol * np.pi,
                              max_cell_pairs * 2 * _MAX_CELL_HALF_PERIODS * 15)
     else:
@@ -252,7 +267,7 @@ def eval_integral_rep(b: BeamParams, p: FieldPoint, tol: float = 1e-9,
     mu = n(omega)*|omega|*r.  Non-convergence is reported through the
     flag, never raised.  ``tol`` and ``max_cell_pairs`` are checked at every
     point, the analytic origin and axis included.  Where
-    ``1 - |cos eta| < 1/2`` (the ray quadrature) ``max_cell_pairs`` is a
+    ``1 - |cos eta| < 0.9`` (the ray quadrature) ``max_cell_pairs`` is a
     budget of ``max_cell_pairs * 15360`` nodes, the most the cell engine
     evaluates.
     """

@@ -25,6 +25,8 @@ __all__ = [
 ]
 
 HARD_CAP = 5000
+# i^n by n mod 4: exact, where 1j ** n drifts by up to 7.5e-13 at n <= 5000
+_I_POWERS = np.array([1.0, 1j, -1.0, -1j])
 
 
 @dataclass(frozen=True)
@@ -82,7 +84,7 @@ def _series_sum(mu: float, cos_theta: float, cos_eta: float, tol: float):
         pe = legendre_p_sequence(n, cos_eta)
         jn = spherical_jn_sequence(n, mu)
         orders = np.arange(n + 1)
-        terms = 2.0 * (1j ** orders) * (orders + 0.5) * pt * pe * jn
+        terms = 2.0 * _I_POWERS[orders % 4] * (orders + 0.5) * pt * pe * jn
         tail = float(np.abs(terms[-1]) + np.abs(terms[-2]))
         if tail <= tol or n >= HARD_CAP:
             value = complex(np.sum(terms))

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from beamkit import integralrep
 from beamkit.beamcore import BeamParams, FieldPoint, cauchy, eval_direct, vacuum
-from beamkit.integralrep import _RAY_CUT, _ray_edges, eval_integral_rep
+from beamkit.integralrep import _RAY_CUT, _WKD, _ray_edges, eval_integral_rep
+from beamkit.oscquad import _k15_nodes
 
 
 class TestAnalyticBranch:
@@ -80,6 +81,29 @@ class TestPointsDomain:
         assert res.value == pytest.approx(eval_direct(b, p), abs=1e-6)
 
 
+def _ray_panel_estimates(a, beta2, rate, sign):
+    """|K15 - G7| of each panel of ``_ray_edges`` on the ray
+    z = a + i*sign*s, for the integrand e^{i sign q - rate s} / (2R)."""
+    edges = np.array(_ray_edges(a, beta2, rate))
+    h, s = _k15_nodes(edges[:-1], edges[1:])
+    z = a + 1j * sign * s
+    r = np.sqrt(z * z + beta2)
+    fx = np.exp(1j * sign * (beta2 / (r + z)) - rate * s) / (2.0 * r)
+    return h * np.abs(fx @ _WKD[:, 1])
+
+
+def _found_rays():
+    """(a, beta2, rate) of the four rays at omega=6, cos_theta=0.8, z=1,
+    rho=1.5, laid out as ``_band_integral`` lays them out."""
+    r = math.hypot(1.0, 1.5)
+    mu, c, delta = 6.0 * r, 1.0 / r, 1.5 * 1.5 / (r * (r + 1.0))
+    m, beta2 = 0.8 * mu, mu * mu * 0.36
+    big_l = max(mu, m + c * math.sqrt(beta2) / math.sqrt(1.0 - c * c))
+    big_l += math.pi
+    return [(big_l - m, beta2, 2.0 - delta), (big_l - m, beta2, delta),
+            (big_l + m, beta2, delta), (big_l + m, beta2, 2.0 - delta)]
+
+
 class TestNearAxis:
     @settings(max_examples=20, deadline=None)
     @given(log_rho=st.floats(-6.0, -1.0), omega=st.floats(0.5, 12.0),
@@ -119,12 +143,32 @@ class TestNearAxis:
         beyond = end * (1.0 + np.geomspace(1e-3, 1e3, 40))
         assert max(log_mag(s) for s in beyond) <= log_mag(end)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["up", "down"])
+    @pytest.mark.parametrize("a,beta2,rate", [
+        (100.0, 4.0, 2.0), (100.0, 4.0, 1e-4), (5e5, 1e4, 1e-9),
+        (2e3, 1.6e3, 5e-4), (3.2, 9.0, 0.5), (3.2, 9.0, 1.5)]
+        + [pytest.param(*ray, id=f"found{k}")
+           for k, ray in enumerate(_found_rays())])
+    def test_ray_panels_widen_within_first_estimate(self, a, beta2, rate,
+                                                     sign):
+        # panels widen as the integrand decays, but no panel's K15 - G7
+        # difference exceeds the first panel's
+        est = _ray_panel_estimates(a, beta2, rate, sign)
+        assert np.all(est <= est[0])
+
+    def test_ray_panels_widen_as_integrand_decays(self):
+        # omega=6, cos_theta=0.8, z=1, rho=1.5: the four rays took 59
+        # panels while every panel was sized for the local frequency
+        panels = sum(len(_ray_edges(*ray)) - 1 for ray in _found_rays())
+        assert panels <= 32
+
 
 class TestRouteSelection:
     @pytest.mark.parametrize("scale,engine_calls", [
         (1.0 - 1e-9, 0), (1.0 + 1e-9, 1)], ids=["rays", "engine"])
-    def test_engine_only_from_half(self, monkeypatch, scale, engine_calls):
-        # rho = sqrt(3) z puts 1 - |cos eta| at 1/2: just below it the rays
+    def test_engine_only_from_threshold(self, monkeypatch, scale,
+                                        engine_calls):
+        # rho = sqrt(99) z puts 1 - |cos eta| at 0.9: just below it the rays
         # take the point, at and above it the cell engine
         calls = []
         engine = integralrep.integrate_oscillatory_infinite
@@ -136,7 +180,7 @@ class TestRouteSelection:
         monkeypatch.setattr(integralrep, "integrate_oscillatory_infinite",
                             counting)
         b = BeamParams(omega=3.0, cos_theta=0.6)
-        p = FieldPoint(z=1.2, rho=1.2 * math.sqrt(3.0) * scale, t=0.4)
+        p = FieldPoint(z=1.2, rho=1.2 * math.sqrt(99.0) * scale, t=0.4)
         res = eval_integral_rep(b, p)
         assert len(calls) == engine_calls
         assert res.converged is True
@@ -238,14 +282,14 @@ class TestOffAxis:
 class TestConvergenceReporting:
     def test_near_axis_stall_cost_pinned(self):
         # rho = 0.05 beats over ~7000 half-periods, past the cell engine's
-        # widest cell; the ray quadrature converges on 605 K15 panels.  A
+        # widest cell; the ray quadrature converges on 583 K15 panels.  A
         # count, unlike a time, pins the cost on any host
         b = BeamParams(omega=3.0, cos_theta=0.7)
         p = FieldPoint(z=3.0, rho=0.05, t=0.0)
         res = eval_integral_rep(b, p)
         assert res.converged is True
         assert abs(res.value - eval_direct(b, p)) <= 1e-12
-        assert res.n_evals == 9075
+        assert res.n_evals == 8745
 
     def test_beat_past_budget_costs_nothing(self):
         # 1 - cos_eta ~ 5e-15: the real saddle lies near lambda = 1e7, so
@@ -257,10 +301,10 @@ class TestConvergenceReporting:
         assert res.n_evals == 0
 
     def test_budget_exhaustion_flags_not_raises(self):
-        # 1 - |cos eta| = 0.85 takes the cell engine, which runs out of
-        # its 3 cell pairs before reaching tol
+        # on the z = 0 plane 1 - |cos eta| = 1 takes the cell engine, which
+        # runs out of its 3 cell pairs before reaching tol
         b = BeamParams(omega=3.0, cos_theta=0.6)
-        p = FieldPoint(0.3, 2.0, 0.0)
+        p = FieldPoint(0.0, 2.0, 0.0)
         res = eval_integral_rep(b, p, tol=1e-13, max_cell_pairs=3)
         assert res.converged is False
 
@@ -312,13 +356,32 @@ class TestReadmeRow:
     def test_z3_row_matches_direct(self):
         # the README map's z = 3 row: rho = 0 is analytic, and every other
         # point has 1 - |cos eta| below 1/2 and takes the ray quadrature;
-        # the cell engine would start only at rho = 3 sqrt(3), past the row
+        # the cell engine would start only at rho = 3 sqrt(99), past the row
         b = BeamParams(omega=6.0, cos_theta=0.8)
         for rho in np.linspace(0.0, 4.0, 41):
             p = FieldPoint(z=3.0, rho=float(rho), t=0.0)
             res = eval_integral_rep(b, p)
             assert res.converged, rho
             assert abs(res.value - eval_direct(b, p)) <= 1e-9, rho
+
+    def test_z1_row_between_half_and_threshold(self, monkeypatch):
+        # the README map's z = 1 row: the 23 points with rho >= 1.8 have
+        # 1/2 <= 1 - |cos eta| < 0.9, and take the rays, not the engine
+        def engine(*args, **kwargs):
+            raise AssertionError("cell engine called")
+
+        monkeypatch.setattr(integralrep, "integrate_oscillatory_infinite",
+                            engine)
+        b = BeamParams(omega=6.0, cos_theta=0.8)
+        band = 0
+        for rho in np.linspace(0.0, 4.0, 41):
+            p = FieldPoint(z=1.0, rho=float(rho), t=0.0)
+            r = math.hypot(1.0, rho)
+            band += 0.5 <= rho * rho / (r * (r + 1.0)) < 0.9
+            res = eval_integral_rep(b, p)
+            assert res.converged, rho
+            assert abs(res.value - eval_direct(b, p)) <= 1e-9, rho
+        assert band == 23
 
 
 class TestDispersive:

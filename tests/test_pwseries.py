@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from beamkit import pwseries
 from beamkit.beamcore import BeamParams, FieldPoint, cauchy, constant, vacuum
 from beamkit.beamcore import eval_direct
 from beamkit.pwseries import (HARD_CAP, SeriesResult, eval_series,
@@ -160,6 +161,24 @@ def test_near_axis_large_omega_r_meets_tol_or_flags():
     p = FieldPoint(z=4.29095, rho=6.05408e-4, t=1.52404)
     res = eval_series(b, p)
     assert not res.converged or abs(res.value - eval_direct(b, p)) <= 1e-10
+
+
+def test_phases_exact_up_to_hard_cap(monkeypatch):
+    # with every P_n and j_n set to 1 the sum is sum (2n + 1) i^n over
+    # n <= HARD_CAP, integers that float64 holds exactly, so any phase off
+    # i^n shows (1j ** n is up to 7.5e-13 off from n = 100 on)
+    def ones(n, x):
+        return np.ones(n + 1)
+
+    monkeypatch.setattr(pwseries, "truncation_order",
+                        lambda mu, tol: HARD_CAP)
+    monkeypatch.setattr(pwseries, "legendre_p_sequence", ones)
+    monkeypatch.setattr(pwseries, "spherical_jn_sequence", ones)
+    value, n_terms, _, _ = pwseries._series_sum(1.0, 0.5, 0.5, 1e-12)
+    exact = sum((2 * n + 1) * (1, 1j, -1, -1j)[n % 4]
+                for n in range(HARD_CAP + 1))
+    assert n_terms == HARD_CAP + 1
+    assert value == exact
 
 
 class TestDispersiveSeries:
