@@ -18,7 +18,7 @@ The integrand beats at delta = 1 - |cos eta|, computed as
 rho^2 / (r (r + |z|)).  Where 2 * delta < 1 the beat 2 pi / delta is more
 than twice the period, and the engine would widen its cells to half the
 beat; near the axis, where delta * 512 < 1, the beat lies past the
-engine's widest cell.  Every point with delta < 0.9 takes a ray
+engine's widest cell.  Every point with delta < 3/4 takes a ray
 quadrature instead (the steepest-descent idea of Huybrechs and
 Vandewalle, SIAM J. Numer. Anal. 44, 2006): K15 panels on [-L, L],
 L = max(mu, lambda_s) + pi past the real saddle
@@ -26,8 +26,8 @@ lambda_s = |m| + |cos eta| beta / sin eta, and the two parts
 e^{+-iR} / (2iR) of each tail up and down vertical rays, where they decay
 like e^{-(1 +- cos eta) s} and the panels widen as the integrand falls.
 Its cost grows like lambda_s, about 1/rho; past a node budget it reports
-converged=False without evaluating.  Points with delta >= 0.9 keep the
-engine, which costs about as much as the rays there.
+converged=False without evaluating.  Points with delta >= 3/4 keep the
+engine, where the rays save little.
 
 On the axis (|cos eta| = 1) the symmetric limit of the lambda-integral is
 exactly half the field: j_n under the integral is the Fourier transform of
@@ -66,8 +66,8 @@ _RAY_CUT = 1e-3 * _EPMACH
 # a ray panel widens by the fall of |f| since the ray's start to this power
 _GROW_POWER = 1.0 / 15.0
 # points with 1 - |cos eta| below this take the rays, the rest the engine;
-# from 0.9 up the rays cost about as much as the engine
-_RAY_BAND = 0.9
+# from 3/4 up the rays save little over the engine
+_RAY_BAND = 0.75
 # K15 weights and K15 - G7 weights, as the columns of one matrix
 _WKD = np.column_stack([_WK15, _WK15])
 _WKD[1::2, 1] -= _WG7
@@ -237,7 +237,7 @@ def _rep_integral(mu: float, cos_theta: float, cos_eta: float, delta: float,
     if delta < _RAY_BAND:
         # the beat 2 pi / delta is wider than the period 2 pi: below 1/2
         # the engine would widen its cells to half the beat, and past its
-        # widest cell (delta < 1/512) cannot converge at all; up to 0.9 the
+        # widest cell (delta < 1/512) cannot converge at all; up to 3/4 the
         # rays cost less than the engine
         res = _band_integral(mu, m, beta2, cos_eta, delta, tol * np.pi,
                              max_cell_pairs * 2 * _MAX_CELL_HALF_PERIODS * 15)
@@ -267,7 +267,7 @@ def eval_integral_rep(b: BeamParams, p: FieldPoint, tol: float = 1e-9,
     mu = n(omega)*|omega|*r.  Non-convergence is reported through the
     flag, never raised.  ``tol`` and ``max_cell_pairs`` are checked at every
     point, the analytic origin and axis included.  Where
-    ``1 - |cos eta| < 0.9`` (the ray quadrature) ``max_cell_pairs`` is a
+    ``1 - |cos eta| < 3/4`` (the ray quadrature) ``max_cell_pairs`` is a
     budget of ``max_cell_pairs * 15360`` nodes, the most the cell engine
     evaluates.
     """
