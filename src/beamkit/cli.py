@@ -17,7 +17,7 @@ grid serially and reads no thread-count variable: every route holds the
 interpreter lock, and on the README grid with 2 vCPUs a 2-thread pool made
 the direct and series maps slower and left the integral map within noise.
 Serially, as process wall on a 2-vCPU Xeon, the README grid takes
-0.30-0.46 s direct, 0.80-1.26 s series and 1.00-1.54 s integral.
+0.29-0.34 s direct, 0.56-0.69 s series and 1.11-1.46 s integral.
 
 ``main`` builds the parser on its first call and keeps it for the life of
 the process.  Building it costs 1.0-1.7 ms, more than the direct route

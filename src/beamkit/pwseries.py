@@ -9,6 +9,7 @@ itself: j_n(x) dies super-exponentially once n passes x.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,8 +26,11 @@ __all__ = [
 ]
 
 HARD_CAP = 5000
-# i^n by n mod 4: exact, where 1j ** n drifts by up to 7.5e-13 at n <= 5000
-_I_POWERS = np.array([1.0, 1j, -1.0, -1j])
+# 2 i^n (n + 1/2) for n <= HARD_CAP, i^n by n mod 4: exact, where 1j ** n
+# drifts by up to 7.5e-13 at n <= 5000
+_ORDERS = np.arange(HARD_CAP + 1)
+_COEFFS = 2.0 * np.array([1.0, 1j, -1.0, -1j])[_ORDERS % 4] * (_ORDERS + 0.5)
+_COEFFS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -51,6 +55,11 @@ def truncation_order(omega_r: float, tol: float = 1e-10) -> int:
     Wiscombe-style base |x| + 4|x|^(1/3) + 10, floored at 10, then pushed
     right until the first omitted order sits below 0.01*tol, so the
     dropped tail is negligible at the requested tolerance.
+
+    The scan reads a j_n table that ends min(60, 8 + 4|x|^(1/3)) orders
+    past the base, where the cut lies at everyday tolerances (0-8 orders
+    past it on the README grid).  Only if no order there falls under the
+    target does it read tables ending 60, 120, ... orders past the base.
     """
     x = float(omega_r)
     if not (x >= 0 and math.isfinite(x)):
@@ -61,16 +70,31 @@ def truncation_order(omega_r: float, tol: float = 1e-10) -> int:
     target = 0.01 * tol
     if not target > 0:
         raise ValueError(f"tol must be positive with 0.01*tol > 0: {tol!r}")
-    base = max(10, int(np.ceil(x + 4.0 * x ** (1.0 / 3.0) + 10.0)))
-    hi = base
+    cube_root = x ** (1.0 / 3.0)
+    base = max(10, math.ceil(x + 4.0 * cube_root + 10.0))
+    hi = base + min(60, int(8.0 + 4.0 * cube_root))
     while True:
-        hi = min(hi + 60, HARD_CAP)
+        hi = min(hi, HARD_CAP)
         vals = spherical_jn_sequence(hi, x)
-        below = np.flatnonzero(np.abs(vals[base:]) < target)
-        if below.size:
-            return base + int(below[0])
+        for k, v in enumerate(vals[base:].tolist(), base):
+            if abs(v) < target:
+                return k
         if hi >= HARD_CAP:
             return HARD_CAP
+        # then the tables the scan has always read, 60, 120, ... past the
+        # base, so an order past the first table comes from the same table
+        hi = base + 60 * ((hi - base) // 60 + 1)
+
+
+@functools.lru_cache(maxsize=128)
+def _legendre_row(legendre, n: int, x: float, sign: float) -> np.ndarray:
+    # P_0(x) .. P_n(x) through ``legendre``, read-only.  It is keyed on the
+    # function, so one rebound on this module (a tracer, a test) is called,
+    # not bypassed; ``sign`` keeps -0.0 apart from 0.0, whose rows differ
+    # in the signs of their zeros.
+    row = legendre(n, x)
+    row.flags.writeable = False
+    return row
 
 
 def _series_sum(mu: float, cos_theta: float, cos_eta: float, tol: float):
@@ -79,13 +103,14 @@ def _series_sum(mu: float, cos_theta: float, cos_eta: float, tol: float):
     Returns (value-without-time-factor, n_terms, tail, converged).
     """
     n = truncation_order(mu, tol)
+    # P_n(cos theta) is one row per beam: every point of a map reuses it
+    sign = math.copysign(1.0, cos_theta)
     while True:
-        pt = legendre_p_sequence(n, cos_theta)
+        pt = _legendre_row(legendre_p_sequence, n, cos_theta, sign)
         pe = legendre_p_sequence(n, cos_eta)
         jn = spherical_jn_sequence(n, mu)
-        orders = np.arange(n + 1)
-        terms = 2.0 * _I_POWERS[orders % 4] * (orders + 0.5) * pt * pe * jn
-        tail = float(np.abs(terms[-1]) + np.abs(terms[-2]))
+        terms = _COEFFS[:n + 1] * pt * pe * jn
+        tail = abs(complex(terms[-1])) + abs(complex(terms[-2]))
         if tail <= tol or n >= HARD_CAP:
             value = complex(np.sum(terms))
             return value, n + 1, tail, tail <= tol

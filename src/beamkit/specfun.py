@@ -9,8 +9,11 @@ P_n and j_n are computed here and nowhere else.  Sequences are float64
 arrays, orders along axis 0.  ``legendre_p``, ``legendre_p_sequence`` and
 ``spherical_jn`` also take an array x.  A scalar x recurs in Python floats:
 on one abscissa that is an order of magnitude faster than numpy rows (P_0
-.. P_70: 22 us vs 380 us on a 2-vCPU Xeon, numpy 2.4), and the
-partial-wave series route calls it per point.  J_0 is two Cephes
+.. P_70: 20-22 us vs 280-320 us on a 2-vCPU Xeon, numpy 2.4), and the
+partial-wave series route calls it per point.  The Miller sweep for j_n
+recurs in Python floats too: it keeps its entries in a list and rescales
+them as an array once it ends (j_0 .. j_60 at x = 20: 21-35 us, where
+storing each entry into an array took 37-41 us).  J_0 is two Cephes
 rational fits, one per branch, each a fixed handful of multiply-adds.  A
 scalar runs them in Python floats, bit for bit equal to the array entry
 and an order of magnitude faster than a one-element array (x = 2: 3-5 us
@@ -78,9 +81,14 @@ def legendre_p_sequence(n_max: int, x) -> np.ndarray:
     x = _clamp_unit(x)
     # a scalar stays a Python float throughout (see the module docstring)
     out = [np.ones_like(x) if np.ndim(x) else 1.0, x][:n_max + 1]
-    for k in range(1, n_max):
-        out.append(((2 * k + 1) * x * out[k] - k * out[k - 1]) / (k + 1))
-    return np.clip(out, -1.0, 1.0)
+    pm, pc = out[0], x
+    k = 1.0  # a float counter: exact, and cheaper per step than an int
+    for _ in range(1, n_max):
+        pm, pc = pc, ((k + k + 1.0) * x * pc - k * pm) / (k + 1.0)
+        out.append(pc)
+        k += 1.0
+    out = np.array(out)
+    return np.clip(out, -1.0, 1.0, out=out)
 
 
 # ----------------------------------------------------------------------------
@@ -133,34 +141,55 @@ def _sph_sequence_miller(n_max: int, x: float) -> np.ndarray:
     start = n_max + _miller_offset(n_max)
     bp = 0.0  # b_{k+1}
     bc = 1.0  # b_k, arbitrary seed
-    stored = np.zeros(n_max + 1)
-    for k in range(start, -1, -1):
-        if k <= n_max:
-            stored[k] = bc
-        bn = (2 * k + 1) / x * bc - bp
-        bp, bc = bc, bn
-        if abs(bc) > 1e250:
-            # Rescale the stored entries with the running pair (stored[k]
-            # is the old bc, now bp), so every entry ends on the final
-            # scale.  An entry pushed below the subnormal range becomes
-            # 0.0; its value is far under the flush floor.
+    # 2k + 1 as a float counter: exact in a double, and cheaper per step
+    # than int arithmetic.  Orders above n_max only run the recurrence in.
+    two_k1 = 2.0 * start + 1.0
+    for _ in range(start - n_max):
+        bp, bc = bc, two_k1 / x * bc - bp
+        two_k1 -= 2.0
+        if bc > 1e250 or bc < -1e250:
             bp *= 1e-250
             bc *= 1e-250
-            stored[k:] *= 1e-250
+    # b_{n_max} .. b_0 as Python floats: a list append costs a fraction
+    # of a store into an array, and the recurrence is a scalar loop anyway
+    stored = []
+    rescaled = []  # len(stored) at each rescale
+    for _ in range(n_max + 1):
+        stored.append(bc)
+        bp, bc = bc, two_k1 / x * bc - bp
+        two_k1 -= 2.0
+        if bc > 1e250 or bc < -1e250:
+            bp *= 1e-250
+            bc *= 1e-250
+            rescaled.append(len(stored))
+    # Rescale the entries stored before each rescale of the running pair,
+    # in the order the rescales came, so every entry ends on the final
+    # scale.  An entry pushed below the subnormal range becomes 0.0; its
+    # value is far under the flush floor.
+    stored = np.array(stored)
+    for size in rescaled:
+        stored[:size] *= 1e-250
+    stored = stored[::-1]
     # Normalize against whichever of j_0, j_1 is farther from a zero;
     # near x = k*pi (k >= 1) the j_0 ratio loses all significance.  Below
     # x = 1 the sine is small too, but there sin(x)/x stays near 1 and
-    # j_0 is the well-conditioned anchor.
-    if abs(np.sin(x)) >= 0.1 or x <= 1.0 or n_max < 1:
-        ratio = _sph_j0(x) / stored[0]
+    # j_0 is the well-conditioned anchor.  x > 0 here, so j_0 is the
+    # plain quotient.
+    sin_x = np.sin(x)
+    if abs(sin_x) >= 0.1 or x <= 1.0 or n_max < 1:
+        ratio = sin_x / x / stored[0]
     else:
         ratio = _sph_j1(x) / stored[1]
+    # Every stored entry is finite (rescaled under 1e250), so only the
+    # ratio can make the table non-finite, and then every entry is.
+    if not math.isfinite(ratio):
+        return np.zeros(n_max + 1)
     vals = stored * ratio
     # For orders beyond x the function is strictly positive, so a
     # magnitude under the floor there means decay underflowed, not a
     # zero crossing.
-    deep = (np.arange(n_max + 1) > x) & (np.abs(vals) < UNDERFLOW_FLUSH)
-    vals[deep | ~np.isfinite(vals)] = 0.0
+    deep = vals[int(x) + 1:]
+    deep[np.abs(deep) < UNDERFLOW_FLUSH] = 0.0
     return vals
 
 

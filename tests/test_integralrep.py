@@ -188,11 +188,11 @@ class TestRouteSelection:
 
 
 class TestDomainSweepPoints:
-    # ROADMAP item 3: points of the seeded 600-point domain sweep that the
-    # cell engine returned 0.015-0.93 off with converged=True, as
+    # points of the seeded 600-point domain sweep (scripts/domain_sweep.py)
+    # that the cell engine returned 0.015-0.93 off with converged=True, as
     # (omega, cos_theta, z, rho, t) rounded to 4 digits.  BAND lies within
-    # 1 - |cos eta| < 1/512, OFF_BAND between 1/512 and 1/2; both now take
-    # the rays
+    # 1 - |cos eta| < 1/512, OFF_BAND between 0.12 and 0.34; both lie
+    # inside the ray band (1 - |cos eta| < 3/4) and take the rays
     BAND = [(1412, -0.6725, -4.243, 0.0004952, 2.33),
             (1184, 0.2099, 3.945, 0.001264, -1.669),
             (1904, 0.2398, 4.592, 0.0127, -2.034),

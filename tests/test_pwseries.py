@@ -1,5 +1,6 @@
 """Partial-wave series representation against the direct evaluation."""
 import cmath
+import math
 import time
 
 import numpy as np
@@ -11,6 +12,7 @@ from beamkit.beamcore import BeamParams, FieldPoint, cauchy, constant, vacuum
 from beamkit.beamcore import eval_direct
 from beamkit.pwseries import (HARD_CAP, SeriesResult, eval_series,
                               truncation_order)
+from beamkit.specfun import legendre_p_sequence
 
 _finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -56,6 +58,42 @@ class TestTruncationOrder:
 
     def test_tiny_tol_still_works(self):
         assert truncation_order(1.0, 1e-300) == 147
+
+    def test_orders_frozen_on_seeded_draws(self):
+        # the first table the scan reads ends min(60, 8 + 4 x^(1/3)) orders
+        # past the base, and tables 60, 120, ... past it follow; orders
+        # frozen from the scan that started at 60 past the base.  Half the
+        # tolerances are everyday ones (the cut mostly falls in the first
+        # table), half reach 1e-300 (mostly in a later one, or at HARD_CAP)
+        rng = np.random.default_rng(1980)
+        xs = 10.0 ** rng.uniform(-3.0, np.log10(4990.0), 300)
+        tols = 10.0 ** np.concatenate([rng.uniform(-16.0, -6.0, 150),
+                                       rng.uniform(-300.0, -1.0, 150)])
+        frozen = [
+            12, 11, 12, 11, 11, 11, 16, 262, 254, 13, 49, 1952, 13, 11, 13, 19,
+            29, 12, 17, 11, 95, 781, 1152, 11, 12, 31, 13, 3476, 865, 11, 12,
+            18, 11, 72, 11, 11, 19, 26, 19, 2213, 11, 20, 2308, 18, 11, 1328,
+            16, 11, 11, 228, 14, 12, 12, 11, 14, 34, 1450, 14, 17, 151, 11, 44,
+            15, 11, 31, 15, 11, 13, 13, 23, 11, 330, 124, 13, 14, 76, 11, 12,
+            11, 13, 36, 28, 13, 23, 11, 15, 15, 26, 833, 14, 14, 2048, 89, 15,
+            577, 3839, 16, 14, 49, 11, 17, 43, 12, 28, 40, 12, 11, 37, 182, 69,
+            1751, 11, 66, 11, 19, 13, 11, 12, 73, 14, 454, 12, 33, 12, 3901,
+            12, 12, 29, 12, 12, 1363, 2441, 39, 12, 2285, 12, 22, 12, 14, 22,
+            14, 19, 11, 5000, 4322, 12, 29, 4337, 632, 13, 512, 29, 98, 33,
+            734, 193, 421, 2097, 48, 253, 91, 76, 79, 64, 177, 4682, 11, 71,
+            146, 44, 2136, 32, 63, 152, 1033, 180, 34, 63, 95, 63, 70, 1336,
+            3834, 62, 104, 131, 69, 749, 73, 374, 980, 18, 55, 35, 61, 104,
+            107, 3318, 3624, 269, 23, 69, 138, 371, 41, 232, 86, 101, 1313, 20,
+            46, 541, 168, 95, 324, 124, 149, 303, 1161, 893, 35, 120, 47, 106,
+            177, 44, 2542, 58, 104, 64, 262, 5000, 43, 16, 16, 313, 82, 20, 89,
+            15, 69, 722, 129, 36, 194, 38, 783, 98, 153, 46, 42, 347, 162, 64,
+            3244, 60, 291, 60, 96, 12, 58, 19, 603, 382, 182, 166, 11, 135,
+            502, 1503, 2005, 51, 264, 756, 137, 48, 181, 134, 161, 202, 81, 47,
+            263, 80, 188, 73, 812, 66, 63, 169, 540, 11, 761, 43, 92, 29, 15,
+            74, 16, 82]
+        got = [truncation_order(float(x), float(tol))
+               for x, tol in zip(xs, tols)]
+        assert got == frozen
 
 
 class TestEvalSeries:
@@ -153,7 +191,7 @@ class TestEvalSeries:
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 3: near the axis at omega*r about 3600 the series "
+    "ROADMAP item 2: near the axis at omega*r about 3600 the series "
     "returns 5e-10 off eval_direct with converged=True"))
 def test_near_axis_large_omega_r_meets_tol_or_flags():
     # a domain-sweep draw (scripts/domain_sweep.py --n 600), rounded
@@ -173,12 +211,72 @@ def test_phases_exact_up_to_hard_cap(monkeypatch):
     monkeypatch.setattr(pwseries, "truncation_order",
                         lambda mu, tol: HARD_CAP)
     monkeypatch.setattr(pwseries, "legendre_p_sequence", ones)
+    # the P_n(cos theta) memo is keyed on the function it calls, so the
+    # patched one is called; clearing it keeps the result independent of
+    # the tests that ran before
+    pwseries._legendre_row.cache_clear()
     monkeypatch.setattr(pwseries, "spherical_jn_sequence", ones)
     value, n_terms, _, _ = pwseries._series_sum(1.0, 0.5, 0.5, 1e-12)
     exact = sum((2 * n + 1) * (1, 1j, -1, -1j)[n % 4]
                 for n in range(HARD_CAP + 1))
     assert n_terms == HARD_CAP + 1
     assert value == exact
+
+
+class TestLegendreMemo:
+    def test_rows_read_only_and_bitwise_equal(self):
+        for n, x in ((0, 0.3), (1, -0.8), (57, 0.8), (400, -0.123456789),
+                     (HARD_CAP, 0.999)):
+            row = pwseries._legendre_row(legendre_p_sequence, n, x,
+                                         math.copysign(1.0, x))
+            assert row.tobytes() == legendre_p_sequence(n, x).tobytes()
+            assert row.shape == (n + 1,) and not row.flags.writeable
+            with pytest.raises(ValueError):
+                row[0] = 2.0
+            assert pwseries._legendre_row(legendre_p_sequence, n, x,
+                                          math.copysign(1.0, x)) is row
+
+    def test_signed_zero_rows_kept_apart(self):
+        # P_3(0.0) is -0.0 and P_3(-0.0) is 0.0: one row must not stand in
+        # for the other
+        pwseries._legendre_row.cache_clear()
+        for x in (0.0, -0.0):
+            row = pwseries._legendre_row(legendre_p_sequence, 9, x,
+                                         math.copysign(1.0, x))
+            assert row.tobytes() == legendre_p_sequence(9, x).tobytes()
+        assert legendre_p_sequence(9, 0.0).tobytes() != \
+            legendre_p_sequence(9, -0.0).tobytes()
+
+    @pytest.mark.parametrize("order", [(0.0, -0.0), (-0.0, 0.0)])
+    def test_series_bitwise_at_signed_zero_cos_theta(self, order,
+                                                     monkeypatch):
+        # each cos_theta = +-0.0 sums with its own P_n(cos theta) row, and
+        # gives the value of a sum that builds that row itself, whichever
+        # sign the memo saw first
+        pts = [FieldPoint(z=0.0, rho=1.3, t=0.0),
+               FieldPoint(z=0.7, rho=2.1, t=0.4),
+               FieldPoint(z=-1.5, rho=0.2, t=-0.3)]
+        memo = pwseries._legendre_row
+        rows = []
+
+        def spy(legendre, n, x, sign):
+            rows.append((n, x, memo(legendre, n, x, sign)))
+            return rows[-1][2]
+
+        def run():
+            return [repr(eval_series(BeamParams(omega=2.0, cos_theta=ct),
+                                     p).value)
+                    for ct in order for p in pts]
+
+        memo.cache_clear()
+        monkeypatch.setattr(pwseries, "_legendre_row", spy)
+        values = run()
+        assert len(rows) == 2 * len(pts)
+        for n, x, row in rows:
+            assert row.tobytes() == legendre_p_sequence(n, x).tobytes()
+        monkeypatch.setattr(pwseries, "_legendre_row",
+                            lambda legendre, n, x, sign: legendre(n, x))
+        assert values == run()
 
 
 class TestDispersiveSeries:

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from beamkit.specfun import (_sph_j0, bessel_j0, legendre_p,
+from beamkit.specfun import (UNDERFLOW_FLUSH, _miller_offset, _sph_j0, _sph_j1,
+                             _sph_sequence_miller, bessel_j0, legendre_p,
                              legendre_p_sequence, spherical_jn,
                              spherical_jn_sequence)
 
@@ -36,6 +37,30 @@ class TestLegendre:
     def test_endpoint_alternation(self):
         seq = legendre_p_sequence(5, -1.0)
         assert list(seq) == [1.0, -1.0, 1.0, -1.0, 1.0, -1.0]
+
+    def test_bitwise_equal_to_the_int_recurrence(self):
+        # the Bonnet step written plainly, with int k and the orders
+        # indexed from the list; a scalar and an array x
+        def by_ints(n_max, x):
+            out = [np.ones_like(x) if np.ndim(x) else 1.0, x][:n_max + 1]
+            for k in range(1, n_max):
+                out.append(((2 * k + 1) * x * out[k] - k * out[k - 1])
+                           / (k + 1))
+            return np.clip(out, -1.0, 1.0)
+
+        rng = np.random.default_rng(1782)
+        draws = [(int(n), float(x)) for n, x in
+                 zip(rng.integers(0, 600, 300), rng.uniform(-1, 1, 300))]
+        draws += [(n, x) for n in (0, 1, 2, 3, 9, 4000)
+                  for x in (0.0, -0.0, 1.0, -1.0, 0.999999)]
+        for n, x in draws:
+            assert legendre_p_sequence(n, x).tobytes() == \
+                by_ints(n, x).tobytes(), (n, x)
+        xs = rng.uniform(-1, 1, (4, 5))
+        for n in (0, 1, 2, 57):
+            got = legendre_p_sequence(n, xs)
+            assert got.shape == (n + 1, 4, 5)
+            assert got.tobytes() == by_ints(n, xs).tobytes()
 
     def test_sequence_matches_elementwise(self):
         seq = legendre_p_sequence(20, 0.3)
@@ -242,6 +267,64 @@ class TestSphericalBessel:
         assert seq[1] == pytest.approx(1e-100 / 3.0, rel=1e-15, abs=0)
         assert seq[2] == pytest.approx(1e-200 / 15.0, rel=1e-15, abs=0)
         assert list(seq[3:]) == [0.0, 0.0, 0.0]
+
+
+def _miller_by_array(n_max, x):
+    # the Miller sweep written plainly: each entry stored into an array,
+    # rescaled in place, normalized with np.divide, flushed over every order
+    start = n_max + _miller_offset(n_max)
+    bp, bc = 0.0, 1.0
+    stored = np.zeros(n_max + 1)
+    for k in range(start, -1, -1):
+        if k <= n_max:
+            stored[k] = bc
+        bp, bc = bc, (2 * k + 1) / x * bc - bp
+        if abs(bc) > 1e250:
+            bp *= 1e-250
+            bc *= 1e-250
+            stored[k:] *= 1e-250
+    if abs(np.sin(x)) >= 0.1 or x <= 1.0 or n_max < 1:
+        ratio = _sph_j0(x) / stored[0]
+    else:
+        ratio = _sph_j1(x) / stored[1]
+    vals = stored * ratio
+    deep = (np.arange(n_max + 1) > x) & (np.abs(vals) < UNDERFLOW_FLUSH)
+    vals[deep | ~np.isfinite(vals)] = 0.0
+    return vals
+
+
+def _miller_draws():
+    rng = np.random.default_rng(1967)
+    draws = []
+    for _ in range(400):
+        n = int(rng.integers(1, 1200))
+        draws.append((n, float(10.0 ** rng.uniform(-8.0, math.log10(n)))))
+    # the j_1 anchor near the zeros of the sine, the j_0 anchor at and
+    # just above x = 1, integer x on the flush boundary, and sweeps that
+    # rescale several times
+    for k in range(1, 30):
+        draws += [(4 * k + 10, k * math.pi),
+                  (4 * k + 10, math.nextafter(k * math.pi, 0.0)),
+                  (4 * k + 10, float(k))]
+    draws += [(5, 1.0), (5, math.nextafter(1.0, 2.0)), (1, 0.5),
+              (233, 1.4799266345558913e-07), (1000, 1e-8), (1000, 3e-6)]
+    return draws
+
+
+class TestMillerSweep:
+    def test_bitwise_equal_to_the_array_sweep(self):
+        for n, x in _miller_draws():
+            got = _sph_sequence_miller(n, x)
+            want = _miller_by_array(n, x)
+            assert got.dtype == np.float64 and got.shape == (n + 1,)
+            assert got.tobytes() == want.tobytes(), (n, x)
+
+    def test_orders_past_x_flushed_orders_below_kept(self):
+        # at x = 0.5 the entries underflow past order ~150; below x an
+        # entry under the floor would be a zero crossing, so it is kept
+        vals = _sph_sequence_miller(400, 0.5)
+        assert vals[-1] == 0.0 and vals[1] > 0.0
+        assert not np.any((vals != 0.0) & (np.abs(vals) < UNDERFLOW_FLUSH))
 
 
 # frozen 40-digit values, rounded to 22 digits.  The first block is J_0 at
