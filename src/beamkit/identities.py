@@ -238,24 +238,53 @@ def legendre_ft_pair(n: int, beta: float, tol: float = 1e-8) -> IdentityReport:
                    healthy=q.converged)
 
 
+def _jn_yn_square_coeffs(n: int) -> list:
+    """c_0 .. c_n with j_n(x)^2 + y_n(x)^2 = sum_k c_k x^(-2-2k).
+
+    Abramowitz and Stegun 10.1.27:
+    c_k = (n+k)! (2k)! / ((n-k)! (k!)^2 4^k), from exact integers and one
+    correctly rounded division each.
+    """
+    f = math.factorial
+    return [f(n + k) * f(2 * k) / (f(n - k) * f(k) ** 2 * 4 ** k)
+            for k in range(n + 1)]
+
+
 def jn_norm_integral(n: int) -> IdentityReport:
-    """Full-line norm integral of j_n^2 equals pi/(2n+1), at 1e-7."""
+    """Full-line norm integral of j_n^2 equals pi/(2n+1), at 1e-7.
+
+    Past L, the first multiple of pi/2 at or past 2n + 4 (a cell edge), the
+    non-oscillating (j_n^2 + y_n^2)/2 is integrated in closed form; the
+    engine takes the rest, whose tail -cos(2x - n pi)/(2x^2) alternates
+    from one pi/2 cell to the next.
+    """
     if n < 0:
         raise ValueError(f"negative order: n={n}")
+    coeffs = _jn_yn_square_coeffs(n)
+    half = 0.5 * np.pi
+    big_l = math.ceil((2.0 * n + 4.0) / half) * half
 
     def f(lam):
         # the sign of j_n at negative lam cancels in the square
         jn = _jn_signed(n, lam)
-        return jn * jn
+        out = jn * jn
+        far = np.abs(lam) >= big_l
+        u = 1.0 / (lam[far] * lam[far])
+        out[far] -= 0.5 * u * np.polyval(coeffs[::-1], u)
+        return out
 
+    # both half-lines of the non-oscillating part past L
+    tail = math.fsum(c * big_l ** (-1 - 2 * k) / (1 + 2 * k)
+                     for k, c in enumerate(coeffs))
     rhs = np.pi / (2 * n + 1)
     tol = 1e-7
-    q = integrate_oscillatory_infinite(f, period_hint=2.0 * np.pi,
+    q = integrate_oscillatory_infinite(f, period_hint=np.pi,
                                        tol=0.3 * tol * rhs,
-                                       tail_start=2.0 * n + 4.0)
-    params = {"n": n, "quad_error": q.error_estimate,
+                                       tail_start=big_l)
+    params = {"n": n, "tail_start": big_l, "tail_closed_form": tail,
+              "quad_error": q.error_estimate,
               "quad_evals": q.n_evals, "quad_converged": q.converged}
-    return _report("jn_norm_integral", params, q.value, rhs, tol,
+    return _report("jn_norm_integral", params, q.value + tail, rhs, tol,
                    healthy=q.converged)
 
 

@@ -243,14 +243,13 @@ def _rep_integral(mu: float, cos_theta: float, cos_eta: float, delta: float,
                              max_cell_pairs * 2 * _MAX_CELL_HALF_PERIODS * 15)
     else:
         # the integrand carries phases (1 +- cos_eta)*lambda at large
-        # |lambda|; the (1 - |cos_eta|) component beats slowly and sets the
-        # cell size.  Half-period cells would converge to the axis's
-        # Dirichlet midpoint, half the field
+        # |lambda|; at delta >= 3/4 the slower one, 2 pi / delta, is under
+        # twice the period, so half-period cells alternate and no beat
+        # widening is needed
         res = integrate_oscillatory_infinite(
             lambda lam: _chord_j0(lam - m, beta2), period_hint=2.0 * np.pi,
             tol=tol * np.pi, max_cell_pairs=max_cell_pairs,
-            tail_start=mu + np.pi,
-            beat_hint=2.0 * np.pi / (1.0 - abs(cos_eta)), carrier=cos_eta)
+            tail_start=mu + np.pi, carrier=cos_eta)
     return QuadratureResult(value=res.value / np.pi,
                             error_estimate=res.error_estimate / np.pi,
                             n_evals=res.n_evals, converged=res.converged)

@@ -6,13 +6,14 @@ Three layers:
   classic globally-adaptive bisection with a worst-panel heap.
 * ``integrate_oscillatory_infinite``: symmetric improper integrals of slowly
   decaying oscillatory integrands, optionally times a plane-wave carrier
-  ``exp(i*c*x)``, done as expanding half-period cell pairs fed into two
-  sequence accelerators (Wynn epsilon and a polynomial extrapolation in 1/n
-  on a geometric node schedule).  The integrand is assumed band-limited:
-  at most twice the frequency of ``period_hint``, times the carrier.  Each
-  cell is cut into the fewest K15 sub-panels of half-width h with
-  ``w_max*h <= 3*pi/2`` for that highest frequency ``w_max``: at most one
-  per half-period for every carrier up to 1.
+  ``exp(i*c*x)``, done as expanding half-period cell pairs fed into one
+  sequence accelerator, Wynn's epsilon algorithm, which removes a tail that
+  alternates cell to cell; a tail that does not alternate is flagged, not
+  extrapolated.  The integrand is assumed band-limited: at most twice the
+  frequency of ``period_hint``, times the carrier.  Each cell is cut into
+  the fewest K15 sub-panels of half-width h with ``w_max*h <= 3*pi/2`` for
+  that highest frequency ``w_max``: at most one per half-period for every
+  carrier up to 1.
 * ``regularized_j0_fourier``: closed form for the exponentially regularized
   J_0 Fourier integral, used as an oracle by the wavepacket checks.
 
@@ -25,7 +26,7 @@ when a pair alone holds more).  The cell loop lays out cell 0 once and
 shifts its nodes by the cell offsets, so a carrier folds into fixed weights
 and costs one phase per cell pair instead of one complex exponential per
 node; the cells of a batch are summed by one real matrix product against
-the weights' real and imaginary parts and then fed to the accelerators one
+the weights' real and imaginary parts and then fed to the accelerator one
 by one.
 """
 from __future__ import annotations
@@ -50,9 +51,6 @@ _EPMACH = float(np.finfo(float).eps)
 _OFLOW = float(np.finfo(float).max)
 _COFLOW = complex(_OFLOW)
 _EPS5 = 5.0 * _EPMACH  # rounding floor of an extrapolated value, per |value|
-# geometric node schedule of the 1/n extrapolation: ratio and length
-_NEVILLE_RATIO = 1.3
-_NEVILLE_NODES = 16
 # nodes per integrand call of the cell loop: whole cell pairs up to this
 # many, and one pair when a single pair holds more
 _BATCH_NODES = 2048
@@ -133,7 +131,8 @@ def _k15(f, a, b):
 
 
 def _k15_error(h, fx):
-    """(kronrod, error) of one panel from its half-width and 15 values."""
+    """(kronrod, error, floor) of one panel from its half-width and 15
+    values; floor is the rounding floor under the error, 50 eps resabs."""
     k = h * np.sum(_WK15 * fx)
     g = h * np.sum(_WG7 * fx[1::2])
     resabs = abs(h) * float(np.sum(_WK15 * np.abs(fx)))
@@ -145,8 +144,8 @@ def _k15_error(h, fx):
     else:
         err = diff
     # don't claim below attainable rounding
-    err = max(err, 50.0 * _EPMACH * resabs)
-    return k, err
+    floor = 50.0 * _EPMACH * resabs
+    return k, max(err, floor), floor
 
 
 def integrate_finite(f: Callable, a: float, b: float, tol: float = 1e-10,
@@ -155,7 +154,10 @@ def integrate_finite(f: Callable, a: float, b: float, tol: float = 1e-10,
 
     Absolute tolerance semantics: the panel-error sum is driven below
     ``tol``.  Polynomials up to the embedded degree come out exact to
-    rounding on the first panel.
+    rounding on the first panel.  Each panel's error is at least its
+    rounding floor, so once the floors alone sum past ``tol`` no bisection
+    can meet it: the loop stops there (QUADPACK's roundoff exit, ``ier=2``)
+    and reports ``converged=False``.
     """
     a, b = float(a), float(b)
     if not (np.isfinite(a) and np.isfinite(b)):
@@ -168,29 +170,31 @@ def integrate_finite(f: Callable, a: float, b: float, tol: float = 1e-10,
         return QuadratureResult(value=0j, error_estimate=0.0, n_evals=0, converged=True)
 
     h, fx = _k15(f, [a], [b])
-    val, err = _k15_error(h[0], fx[0])
+    val, err, floor = _k15_error(h[0], fx[0])
     n_evals = 15
-    # heap of (-error, tiebreak, a, b, value, error)
-    heap = [(-err, 0, a, b, val, err)]
+    # heap of (-error, tiebreak, a, b, value, error, rounding floor)
+    heap = [(-err, 0, a, b, val, err, floor)]
     seq = 1
     total_err = err
+    total_floor = floor
     for _ in range(max_subdivisions):
-        if total_err <= tol:
+        if total_err <= tol or total_floor > tol:
             break
-        neg, _, pa, pb, pval, perr = heapq.heappop(heap)
+        neg, _, pa, pb, pval, perr, pfloor = heapq.heappop(heap)
         mid = 0.5 * (pa + pb)
         if mid <= pa or mid >= pb:
             # interval at rounding resolution, keep as-is
-            heapq.heappush(heap, (0.0, seq, pa, pb, pval, perr))
+            heapq.heappush(heap, (0.0, seq, pa, pb, pval, perr, pfloor))
             seq += 1
             continue
         h, fx = _k15(f, [pa, mid], [mid, pb])
-        lv, le = _k15_error(h[0], fx[0])
-        rv, re_ = _k15_error(h[1], fx[1])
+        lv, le, lf = _k15_error(h[0], fx[0])
+        rv, re_, rf = _k15_error(h[1], fx[1])
         n_evals += 30
         total_err += le + re_ - perr
-        heapq.heappush(heap, (-le, seq, pa, mid, lv, le))
-        heapq.heappush(heap, (-re_, seq + 1, mid, pb, rv, re_))
+        total_floor += lf + rf - pfloor
+        heapq.heappush(heap, (-le, seq, pa, mid, lv, le, lf))
+        heapq.heappush(heap, (-re_, seq + 1, mid, pb, rv, re_, rf))
         seq += 2
     value = sum(item[4] for item in heap)
     total_err = sum(item[5] for item in heap)
@@ -199,7 +203,7 @@ def integrate_finite(f: Callable, a: float, b: float, tol: float = 1e-10,
 
 
 # ----------------------------------------------------------------------------
-# Sequence accelerators for the improper oscillatory integral.
+# Sequence accelerator for the improper oscillatory integral.
 # ----------------------------------------------------------------------------
 
 class _Epsilon:
@@ -305,48 +309,6 @@ class _Epsilon:
         return result, (floor if floor > abserr else abserr)
 
 
-class _GeoNeville:
-    """Polynomial extrapolation in 1/n at a geometric schedule of indices.
-
-    Partial sums whose oscillatory part cancels over the cell length behave
-    like I - c1/n - c2/n^2 - ...; Neville in x = 1/n removes the algebraic
-    tail.  A geometric schedule (n, 1.3n, ...) keeps the node matrix well
-    conditioned the way Romberg does, where consecutive indices would not.
-    """
-
-    def __init__(self, k0: int):
-        self.sched = []
-        k = max(k0, 2)
-        for _ in range(_NEVILLE_NODES):
-            self.sched.append(k)
-            k = math.ceil(k * _NEVILLE_RATIO) + 1
-        self.x: list[float] = []
-        self.row: list[complex] = []
-        self.last: complex | None = None
-
-    def maybe_append(self, k: int, s: complex):
-        """Offer partial sum s at global index k; returns (value, error) when
-        k is on the schedule, else None."""
-        if not self.sched or k != self.sched[0]:
-            return None
-        self.sched.pop(0)
-        self.x.append(1.0 / k)
-        self.row.append(s)
-        xs = self.x
-        row = list(self.row)
-        m = len(row)
-        for j in range(1, m):
-            for i in range(m - 1, j - 1, -1):
-                row[i] = row[i] + (row[i] - row[i - 1]) * xs[i] / (xs[i - j] - xs[i])
-        est = row[-1]
-        if self.last is None or m < 3:
-            err = _OFLOW
-        else:
-            err = 2.0 * abs(est - self.last) + abs(est - row[-2])
-        self.last = est
-        return est, err
-
-
 def _check_cell_budget(max_cell_pairs) -> None:
     # an int >= 1: bool and float refused, numpy ints accepted
     if (isinstance(max_cell_pairs, bool)
@@ -366,13 +328,17 @@ def integrate_oscillatory_infinite(f: Callable, period_hint: float,
 
     The integral is taken as the limit of symmetric partial integrals over
     [-k*L, k*L] with L a half-period multiple, and the limit reached by
-    sequence acceleration (epsilon algorithm plus 1/n polynomial
-    extrapolation, whichever claims the smaller error).
+    Wynn's epsilon algorithm.  Epsilon removes a tail whose cells alternate;
+    a one-sided tail, such as the non-oscillating ``1/x^2`` part of a
+    squared Bessel function, raises the error claim to about
+    ``|cell| * k / 2`` and comes back ``converged=False`` at any tight
+    ``tol``.  Take such a part out in closed form first, as
+    ``identities.jn_norm_integral`` does.
 
     Cell pairs are evaluated in batches: one call of f holds the right
     sides of ``max(1, _BATCH_NODES // (2*n))`` consecutive cell pairs (n
     nodes a side), then their mirror images, and never reaches past
-    ``max_cell_pairs``.  The accelerators still see one cell at a time, so a
+    ``max_cell_pairs``.  The accelerator still sees one cell at a time, so a
     batch only changes how many cells are evaluated, never where the loop
     stops; ``n_evals`` counts every node evaluated, including the cells of
     the last batch that lie past the stopping cell.
@@ -394,8 +360,8 @@ def integrate_oscillatory_infinite(f: Callable, period_hint: float,
     tail_start : float
         Extrapolation only trusts partial sums whose cells lie beyond this
         (finite) abscissa; the pre-asymptotic head (where the integrand has
-        not yet settled into its periodic tail) otherwise poisons both
-        tables.
+        not yet settled into its periodic tail) otherwise poisons the
+        epsilon table.
     beat_hint : float, optional
         Secondary (beat) period for integrands carrying two close
         frequencies.  Cells are widened to half the beat so the slow
@@ -475,7 +441,6 @@ def integrate_oscillatory_infinite(f: Callable, period_hint: float,
     total = 0j
     n_evals = 0
     eps_tab = _Epsilon()
-    neville = _GeoNeville(k0 + 4)
     best: complex | None = None
     best_err = _OFLOW
     n_fed = 0
@@ -514,12 +479,9 @@ def integrate_oscillatory_infinite(f: Callable, period_hint: float,
                     # to slow monotone creep, where it happily claims 1e-8
                     # while sitting 1e-4 off.
                     err = max(err, 0.5 * abs(cell) * (k + 1))
-                g = neville.maybe_append(k + 1, total)
-                if g is not None and g[1] < err:
-                    value, err = g
                 if n_fed >= 4 and err < best_err:
                     # a growing cell magnitude means the integrand is still
-                    # waking up; distrust whatever the tables claim there
+                    # waking up; distrust whatever the table claims there
                     growing = (prev_cell is not None
                                and abs(cell) > 4.0 * abs(prev_cell) + 1e-300)
                     if not growing:

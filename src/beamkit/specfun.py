@@ -79,8 +79,9 @@ def legendre_p_sequence(n_max: int, x) -> np.ndarray:
     if n_max < 0:
         raise ValueError(f"negative degree: n_max={n_max}")
     x = _clamp_unit(x)
-    # a scalar stays a Python float throughout (see the module docstring)
-    out = [np.ones_like(x) if np.ndim(x) else 1.0, x][:n_max + 1]
+    # a scalar stays a Python float throughout (see the module docstring);
+    # _clamp_unit returns one for every scalar input
+    out = [1.0 if isinstance(x, float) else np.ones_like(x), x][:n_max + 1]
     pm, pc = out[0], x
     k = 1.0  # a float counter: exact, and cheaper per step than an int
     for _ in range(1, n_max):

@@ -115,6 +115,33 @@ class TestJnNorm:
         _assert_ok(r)
         assert r.rhs == pytest.approx(expected, rel=1e-15)
 
+    def test_every_suite_order_within_1e9(self):
+        # the closed-form tail leaves the engine an alternating integrand,
+        # which epsilon takes well under the report's 1e-7
+        for n in range(21):
+            r = jn_norm_integral(n)
+            assert r.params["quad_converged"] is True
+            assert r.rel_err <= 1e-9, (n, r.rel_err)
+
+    def test_tail_split_at_a_cell_edge(self):
+        # L is the first multiple of pi/2 at or past 2n + 4
+        for n in (0, 3, 20):
+            big_l = jn_norm_integral(n).params["tail_start"]
+            k = round(big_l / (0.5 * math.pi))
+            assert big_l == k * (0.5 * math.pi)
+            assert big_l >= 2 * n + 4 > (k - 1) * (0.5 * math.pi)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 10, 20])
+    def test_square_coeffs_match_scipy(self, n):
+        # Abramowitz and Stegun 10.1.27 against scipy's j_n^2 + y_n^2
+        special = pytest.importorskip("scipy.special")
+        x = np.array([0.7, 2.0, 2.0 * n + 4.0, 57.3, 400.0])
+        u = 1.0 / (x * x)
+        poly = sum(c * u ** (k + 1)
+                   for k, c in enumerate(idn._jn_yn_square_coeffs(n)))
+        ref = special.spherical_jn(n, x) ** 2 + special.spherical_yn(n, x) ** 2
+        np.testing.assert_allclose(poly, ref, rtol=1e-14, atol=0)
+
 
 class TestPlaneWave:
     # negative x flips the sign of the odd orders of j_n
