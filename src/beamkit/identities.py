@@ -32,13 +32,15 @@ The checks:
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .oscquad import (integrate_finite, integrate_oscillatory_infinite,
-                      regularized_j0_fourier)
+from .oscquad import (_EPMACH, _PANEL_WH, _WG7, _WK15, _k15_nodes,
+                      _ray_edges, integrate_finite,
+                      integrate_oscillatory_infinite, regularized_j0_fourier)
 from .pwseries import truncation_order
 from .specfun import (bessel_j0, legendre_p, legendre_p_sequence, spherical_jn,
                       spherical_jn_sequence)
@@ -133,8 +135,9 @@ def verify_stratton_integral(n: int, omega: float, z: float, rho: float,
     """
     if n < 0:
         raise ValueError(f"negative order: n={n}")
-    if rho < 0:
-        raise ValueError(f"rho must be nonnegative: {rho!r}")
+    if not (math.isfinite(omega) and math.isfinite(z) and 0 <= rho < math.inf):
+        raise ValueError("omega and z must be finite, rho finite and "
+                         f"nonnegative: {omega!r}, {z!r}, {rho!r}")
     r = float(np.hypot(z, rho))
     if r == 0.0:
         raise ValueError("point at the origin: r must be positive")
@@ -212,30 +215,52 @@ def legendre_ft_pair(n: int, beta: float, tol: float = 1e-8) -> IdentityReport:
     lhs = ((-i)^n / pi) int_{-inf}^{inf} j_n(lam) e^{i beta lam} dlam,
     rhs = P_n(beta), for |beta| < 1 strictly (the transform has jump
     support edges at |beta| = 1 and the symmetric limit halves there).
+
+    Equal K15 panels cover [-L, L], L the first multiple of pi/2 at or past
+    2n + 4.  Past L, j_n = (h_n^(1) + h_n^(2))/2 with h_n = e^{+-i lam} times
+    a polynomial in 1/lam (DLMF 10.49.6), and each part times e^{i beta lam}
+    goes up or down a vertical ray; the left tail is the right one at -beta,
+    times (-1)^n.  The error claim is the K15 - G7 difference of every
+    panel plus a rounding floor.
     """
     if n < 0:
         raise ValueError(f"negative order: n={n}")
-    if abs(beta) >= 1:
+    if not abs(beta) < 1:
         raise ValueError(
-            f"beta must lie strictly inside (-1, 1): {beta!r}")
-
-    margin = 1.0 - abs(beta)
-    # the beat is always passed on, however slow: half-period cells would
-    # converge to the edge's midpoint, P_n / 2, and a beat past the budget
-    # makes the engine report converged=False instead
-    beat = 2.0 * np.pi / margin
-    q = integrate_oscillatory_infinite(lambda lam: _jn_signed(n, lam),
-                                       period_hint=2.0 * np.pi,
-                                       tol=0.5 * np.pi * tol,
-                                       tail_start=float(n), beat_hint=beat,
-                                       carrier=beta)
-    lhs = ((-1j) ** n / np.pi) * q.value
-    rhs = legendre_p(n, beta)
-    params = {"n": n, "beta": float(beta),
-              "quad_error": q.error_estimate / np.pi,
-              "quad_evals": q.n_evals, "quad_converged": q.converged}
-    return _report("legendre_ft_pair", params, lhs, rhs, tol,
-                   healthy=q.converged)
+            f"beta must lie strictly inside (-1, 1): beta={beta!r}")
+    big_l = math.ceil((4.0 * n + 8.0) / np.pi) * (0.5 * np.pi)
+    # rays (+1 up / -1 down, rate, factor): the e^{+-i lam} parts of the tail
+    # at b = beta, then at b = -beta, decay at 1 +- b on lam = L +- i s; the
+    # factor holds 1/2, (-1)^n, +-i from dlam, (+-i)^(-n-1) and the phase
+    rays = [(sign, 1.0 + sign * b, 0.5 * parity * (-1j * sign) ** n
+             * cmath.exp(1j * sign * (1.0 + sign * b) * big_l))
+            for b, parity in ((beta, 1), (-beta, (-1) ** n))
+            for sign in (1.0, -1.0)]
+    edges = [_ray_edges(big_l, 0.0, rate) for _, rate, _ in rays]
+    n_seg = math.ceil(big_l * (1.0 + abs(beta)) / _PANEL_WH)
+    grid = np.linspace(-big_l, big_l, n_seg + 1)
+    h, x = _k15_nodes(np.concatenate([grid[:-1]] + [e[:-1] for e in edges]),
+                      np.concatenate([grid[1:]] + [e[1:] for e in edges]))
+    lam, s = x[:n_seg], x[n_seg:]
+    sign, rate, factor = (np.repeat(col, [len(e) - 1 for e in edges])[:, None]
+                          for col in zip(*rays))
+    # the sum over k of (+-i)^k a_k(n + 1/2) / z^(k+1) at z = L +- i s
+    f = math.factorial
+    a = [f(n + k) / (2 ** k * f(k) * f(n - k)) for k in range(n, -1, -1)]
+    z = big_l + 1j * sign * s
+    fx = np.concatenate([_jn_signed(n, lam) * np.exp(1j * beta * lam),
+                         factor * np.exp(-rate * s) / z
+                         * np.polyval(a, 1j * sign / z)])
+    k15 = fx @ _WK15
+    # a node's phase, beta*lam or rate*L, is rounded by at most eps*2L
+    err = (h @ np.abs(k15 - fx[:, 1::2] @ _WG7)
+           + _EPMACH * (1.0 + 2.0 * big_l) * h @ (np.abs(fx) @ _WK15)) / np.pi
+    converged = bool(err <= 0.5 * tol)
+    params = {"n": n, "beta": float(beta), "quad_error": float(err),
+              "quad_evals": fx.size, "quad_converged": converged}
+    return _report("legendre_ft_pair", params,
+                   ((-1j) ** n / np.pi) * (h @ k15), legendre_p(n, beta), tol,
+                   healthy=converged)
 
 
 def _jn_yn_square_coeffs(n: int) -> list:

@@ -16,9 +16,8 @@ weights, so no complex exponential is evaluated per node.
 
 The integrand beats at delta = 1 - |cos eta|, computed as
 rho^2 / (r (r + |z|)).  Where 2 * delta < 1 the beat 2 pi / delta is more
-than twice the period, and the engine would widen its cells to half the
-beat; near the axis, where delta * 512 < 1, the beat lies past the
-engine's widest cell.  Every point with delta < 3/4 takes a ray
+than twice the period, so the engine's half-period cells do not alternate
+and its accelerator stalls.  Every point with delta < 3/4 takes a ray
 quadrature instead (the steepest-descent idea of Huybrechs and
 Vandewalle, SIAM J. Numer. Anal. 44, 2006): K15 panels on [-L, L],
 L = max(mu, lambda_s) + pi past the real saddle
@@ -46,9 +45,9 @@ import numpy as np
 
 from .beamcore import (_VACUUM, BeamParams, DispersionModel, FieldPoint,
                        to_spherical)
-from .oscquad import (_EPMACH, _MAX_CELL_HALF_PERIODS, _NODES, _OFLOW, _WG7,
-                      _WK15, QuadratureResult, _check_cell_budget,
-                      _k15_nodes, integrate_oscillatory_infinite)
+from .oscquad import (_EPMACH, _NODES, _OFLOW, _PANEL_WH, _WG7, _WK15,
+                      QuadratureResult, _check_cell_budget, _k15_nodes,
+                      _ray_edges, integrate_oscillatory_infinite)
 from .specfun import _sph_j0
 
 __all__ = [
@@ -56,15 +55,10 @@ __all__ = [
 ]
 
 
-# ray quadrature: nodes per integrand call, and
-# omega*h of its K15 panels for the highest local frequency omega, where G7
-# is within about 3e-13 per unit length of K15
+# ray quadrature: nodes per integrand call, and the nodes it may lay out
+# per cell pair of max_cell_pairs
 _CHUNK_NODES = 32768
-_PANEL_WH = 1.5
-# a ray ends where its integrand times its decay length is below this
-_RAY_CUT = 1e-3 * _EPMACH
-# a ray panel widens by the fall of |f| since the ray's start to this power
-_GROW_POWER = 1.0 / 15.0
+_RAY_NODES_PER_PAIR = 15360
 # points with 1 - |cos eta| below this take the rays, the rest the engine;
 # from 3/4 up the rays save little over the engine
 _RAY_BAND = 0.75
@@ -86,39 +80,6 @@ def _chord_j0(u, beta2: float):
         return out
     # cos_theta = +-1: R = |u| reaches 0
     return _sph_j0(np.abs(u))
-
-
-def _ray_edges(a: float, beta2: float, rate: float) -> list:
-    """Panel edges in s on the vertical ray z = a +- i*s (z = lambda - m,
-    a > 0) of a part that decays at ``rate``, out to where it is negligible.
-    """
-    beta = math.sqrt(beta2)
-    cut = _RAY_CUT * 2.0 * rate
-    wide = 2.0 * _PANEL_WH
-    # at s = 0, R = sqrt(a^2 + beta2) and q are real: |2R f| = 1
-    r0 = math.sqrt(a * a + beta2)
-    s = 0.0
-    edges = [s]
-    while True:
-        z = complex(a, s)
-        r = cmath.sqrt(z * z + beta2)
-        q = beta2 / (r + z)
-        # |e^{+-i q - rate s} / (2R)| is the same on either ray; past the
-        # saddle it only falls, so the rest of the ray adds at most this
-        # over its decay length 1/rate
-        decay = math.exp(-rate * s - q.imag)
-        abs_r = abs(r)
-        if decay <= cut * abs_r:
-            return edges
-        # a panel resolves the local frequency rate + |q/R| and keeps well
-        # away from the branch point of R at +-i*beta.  Where |f| has
-        # fallen by F since s = 0 it widens by F^(1/15): K15 - G7 goes like
-        # h^15 times a 14th derivative that has fallen with |f|, so no
-        # panel's estimate exceeds the first one's
-        grow = (abs_r / (r0 * decay)) ** _GROW_POWER
-        s += min(0.4 * math.hypot(a, s - beta),
-                 wide * grow / (rate + abs(q / r)))
-        edges.append(s)
 
 
 def _band_integral(mu: float, m: float, beta2: float, c: float,
@@ -236,16 +197,14 @@ def _rep_integral(mu: float, cos_theta: float, cos_eta: float, delta: float,
     beta2 = mu * mu * ((1.0 - cos_theta) * (1.0 + cos_theta))
     if delta < _RAY_BAND:
         # the beat 2 pi / delta is wider than the period 2 pi: below 1/2
-        # the engine would widen its cells to half the beat, and past its
-        # widest cell (delta < 1/512) cannot converge at all; up to 3/4 the
-        # rays cost less than the engine
+        # the engine's half-period cells would not alternate, and up to 3/4
+        # the rays cost less than the engine
         res = _band_integral(mu, m, beta2, cos_eta, delta, tol * np.pi,
-                             max_cell_pairs * 2 * _MAX_CELL_HALF_PERIODS * 15)
+                             max_cell_pairs * _RAY_NODES_PER_PAIR)
     else:
         # the integrand carries phases (1 +- cos_eta)*lambda at large
         # |lambda|; at delta >= 3/4 the slower one, 2 pi / delta, is under
-        # twice the period, so half-period cells alternate and no beat
-        # widening is needed
+        # twice the period, so half-period cells alternate
         res = integrate_oscillatory_infinite(
             lambda lam: _chord_j0(lam - m, beta2), period_hint=2.0 * np.pi,
             tol=tol * np.pi, max_cell_pairs=max_cell_pairs,
@@ -267,8 +226,7 @@ def eval_integral_rep(b: BeamParams, p: FieldPoint, tol: float = 1e-9,
     flag, never raised.  ``tol`` and ``max_cell_pairs`` are checked at every
     point, the analytic origin and axis included.  Where
     ``1 - |cos eta| < 3/4`` (the ray quadrature) ``max_cell_pairs`` is a
-    budget of ``max_cell_pairs * 15360`` nodes, the most the cell engine
-    evaluates.
+    budget of ``max_cell_pairs * 15360`` nodes.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive: {tol!r}")

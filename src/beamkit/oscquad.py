@@ -19,21 +19,24 @@ Three layers:
 
 Integrands are called with numpy arrays of abscissae and must evaluate
 elementwise.  ``_k15_nodes`` is the one place that lays out Gauss-Kronrod
-nodes, and each quadrature step makes one integrand call: the first panel
-or both children of a bisection (through ``_k15``), or a batch of whole
-cell pairs, both sides of each, up to about ``_BATCH_NODES`` nodes (one pair
-when a pair alone holds more).  The cell loop lays out cell 0 once and
-shifts its nodes by the cell offsets, so a carrier folds into fixed weights
-and costs one phase per cell pair instead of one complex exponential per
-node; the cells of a batch are summed by one real matrix product against
-the weights' real and imaginary parts and then fed to the accelerator one
-by one.
+nodes, and ``_ray_edges`` the one layout of vertical steepest-descent rays,
+which the integral route and the Fourier-pair check take where a slow beat
+would stall the cells.  Each quadrature step makes one integrand call: the
+first panel or both children of a bisection (through ``_k15``), or a batch
+of whole cell pairs, both sides of each, up to about ``_BATCH_NODES`` nodes
+(one pair when a pair alone holds more).  The cell loop lays out cell 0
+once and shifts its nodes by the cell offsets, so a carrier folds into
+fixed weights and costs one phase per cell pair instead of one complex
+exponential per node; the cells of a batch are summed by one real matrix
+product against the weights' real and imaginary parts and then fed to the
+accelerator one by one.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable
 
+import cmath
 import heapq
 import math
 import numbers
@@ -54,12 +57,15 @@ _EPS5 = 5.0 * _EPMACH  # rounding floor of an extrapolated value, per |value|
 # nodes per integrand call of the cell loop: whole cell pairs up to this
 # many, and one pair when a single pair holds more
 _BATCH_NODES = 2048
-# widest beat cell, in half-periods: a beat past twice this many
-# half-periods no longer alternates cell to cell
-_MAX_CELL_HALF_PERIODS = 512
-# most nodes on one side of a cell (8x the widest in-tree cell,
-# _MAX_CELL_HALF_PERIODS at one sub-panel each); a faster carrier is refused
+# most nodes on one side of a cell; a faster carrier is refused
 _MAX_CELL_NODES = 65536
+# K15 panels on a segment and its vertical rays: omega*h for the highest
+# local frequency omega, where G7 is within about 3e-13 per unit length of K15
+_PANEL_WH = 1.5
+# a ray ends where its integrand times its decay length is below this
+_RAY_CUT = 1e-3 * _EPMACH
+# a ray panel widens by the fall of |f| since the ray's start to this power
+_GROW_POWER = 1.0 / 15.0
 
 
 @dataclass(frozen=True)
@@ -146,6 +152,39 @@ def _k15_error(h, fx):
     # don't claim below attainable rounding
     floor = 50.0 * _EPMACH * resabs
     return k, max(err, floor), floor
+
+
+def _ray_edges(a: float, beta2: float, rate: float) -> list:
+    """Panel edges in s on the vertical ray z = a +- i*s (a > 0) of a part
+    e^{+-iR}/(2R), R = sqrt(z^2 + beta2), that decays at ``rate`` with its
+    carrier, out to where it is negligible."""
+    beta = math.sqrt(beta2)
+    cut = _RAY_CUT * 2.0 * rate
+    wide = 2.0 * _PANEL_WH
+    # at s = 0, R = sqrt(a^2 + beta2) and q are real: |2R f| = 1
+    r0 = math.sqrt(a * a + beta2)
+    s = 0.0
+    edges = [s]
+    while True:
+        z = complex(a, s)
+        r = cmath.sqrt(z * z + beta2)
+        q = beta2 / (r + z)
+        # |e^{+-i q - rate s} / (2R)| is the same on either ray; past the
+        # saddle it only falls, so the rest of the ray adds at most this
+        # over its decay length 1/rate
+        decay = math.exp(-rate * s - q.imag)
+        abs_r = abs(r)
+        if decay <= cut * abs_r:
+            return edges
+        # a panel resolves the local frequency rate + |q/R| and keeps well
+        # away from the branch point of R at +-i*beta.  Where |f| has
+        # fallen by F since s = 0 it widens by F^(1/15): K15 - G7 goes like
+        # h^15 times a 14th derivative that has fallen with |f|, so no
+        # panel's estimate exceeds the first one's
+        grow = (abs_r / (r0 * decay)) ** _GROW_POWER
+        s += min(0.4 * math.hypot(a, s - beta),
+                 wide * grow / (rate + abs(q / r)))
+        edges.append(s)
 
 
 def integrate_finite(f: Callable, a: float, b: float, tol: float = 1e-10,
@@ -321,8 +360,7 @@ def _check_cell_budget(max_cell_pairs) -> None:
 def integrate_oscillatory_infinite(f: Callable, period_hint: float,
                                    tol: float = 1e-9,
                                    max_cell_pairs: int = 640,
-                                   tail_start: float = 0.0,
-                                   beat_hint: float | None = None, *,
+                                   tail_start: float = 0.0, *,
                                    carrier: float = 0.0) -> QuadratureResult:
     """Symmetric improper integral of ``f(x) * exp(i*carrier*x)`` over the line.
 
@@ -333,7 +371,8 @@ def integrate_oscillatory_infinite(f: Callable, period_hint: float,
     squared Bessel function, raises the error claim to about
     ``|cell| * k / 2`` and comes back ``converged=False`` at any tight
     ``tol``.  Take such a part out in closed form first, as
-    ``identities.jn_norm_integral`` does.
+    ``identities.jn_norm_integral`` does.  A carrier near f's own frequency
+    beats slowly; cells within a beat share a sign, and the call is flagged.
 
     Cell pairs are evaluated in batches: one call of f holds the right
     sides of ``max(1, _BATCH_NODES // (2*n))`` consecutive cell pairs (n
@@ -362,17 +401,6 @@ def integrate_oscillatory_infinite(f: Callable, period_hint: float,
         (finite) abscissa; the pre-asymptotic head (where the integrand has
         not yet settled into its periodic tail) otherwise poisons the
         epsilon table.
-    beat_hint : float, optional
-        Secondary (beat) period for integrands carrying two close
-        frequencies.  Cells are widened to half the beat so the slow
-        envelope alternates sign cell-to-cell, which the epsilon table
-        removes; half-period cells would leave it near ratio one, where
-        acceleration stalls.  Finite and > 0 when given.  When half the
-        beat lies past the budget's reach, ``max_cell_pairs`` cells a side,
-        the partial sums cannot see it and no result can converge: the
-        call then returns at once, after the argument checks, without
-        calling f: ``value=0j``, ``error_estimate`` the largest float,
-        ``n_evals=0`` and ``converged=False``.
     carrier : float
         Frequency c of a plane-wave factor ``exp(i*c*x)`` that multiplies f.
         f is then evaluated without it: every node of cell k is a node of
@@ -391,9 +419,6 @@ def integrate_oscillatory_infinite(f: Callable, period_hint: float,
     if not 0.0 < period_hint < math.inf:
         raise ValueError(
             f"period_hint must be finite and positive: {period_hint!r}")
-    if beat_hint is not None and not 0.0 < beat_hint < math.inf:
-        raise ValueError(
-            f"beat_hint must be finite and positive: {beat_hint!r}")
     if not math.isfinite(tail_start):
         raise ValueError(f"tail_start must be finite: {tail_start!r}")
     _check_cell_budget(max_cell_pairs)
@@ -401,12 +426,7 @@ def integrate_oscillatory_infinite(f: Callable, period_hint: float,
         raise ValueError(f"tol must be positive: {tol!r}")
     if not math.isfinite(carrier):
         raise ValueError(f"carrier must be finite: {carrier!r}")
-    base_half = 0.5 * period_hint
-    cells_per_side = 1
-    if beat_hint is not None and beat_hint > 2.0 * period_hint:
-        cells_per_side = min(math.ceil(0.5 * beat_hint / base_half),
-                             _MAX_CELL_HALF_PERIODS)
-    half = cells_per_side * base_half
+    half = 0.5 * period_hint
     # sub-panels of half-width h with w_max*h <= 3*pi/2, where K15 still
     # integrates exp(i*w*x) to about 6e-17 per unit length; w_max covers
     # twice the base frequency (a squared integrand) plus the carrier.  The
@@ -418,10 +438,6 @@ def integrate_oscillatory_infinite(f: Callable, period_hint: float,
         raise ValueError(
             f"carrier {carrier!r} is too fast for cells of width {half!r}: "
             f"a cell would take more than {_MAX_CELL_NODES} nodes a side")
-    if beat_hint is not None and 0.5 * beat_hint > max_cell_pairs * half:
-        # partial sums over the budget's reach cannot see a slower beat
-        return QuadratureResult(value=0j, error_estimate=_OFLOW, n_evals=0,
-                                converged=False)
     panels = max(1, math.ceil(need))
     k0 = math.ceil(tail_start / half) if tail_start > 0 else 0
     # cell 0 (positive side): nodes x0 and the carrier folded into weights

@@ -40,6 +40,14 @@ class TestStratton:
     def test_negative_omega(self):
         _assert_ok(verify_stratton_integral(3, -2.5, 0.4, 0.9))
 
+    @pytest.mark.parametrize("omega,z,rho", [
+        (1.0, math.inf, 1.0), (math.nan, 0.3, 1.0), (1.0, 0.3, math.nan),
+        (1.0, 0.3, math.inf), (-math.inf, 0.3, 1.0)])
+    def test_nonfinite_input_rejected(self, omega, z, rho):
+        # refused before any quadrature, not deep inside legendre or j_0
+        with pytest.raises(ValueError, match="must be finite"):
+            verify_stratton_integral(2, omega, z, rho)
+
     def test_origin_rejected(self):
         # the reference side needs the direction z/r, undefined at r = 0
         with pytest.raises(ValueError):
@@ -78,6 +86,19 @@ class TestFtPair:
     def test_beta_on_edge_rejected(self):
         with pytest.raises(ValueError):
             legendre_ft_pair(2, 1.0)
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_beta_rejected(self, beta):
+        with pytest.raises(ValueError, match="beta="):
+            legendre_ft_pair(2, beta)
+
+    def test_suite_error_and_cost_pinned(self):
+        # segment panels and vertical rays land on P_n to rounding (the
+        # half-period cells, widened to the beat, were 3.2e-10 off); a
+        # count, unlike a time, pins the cost on any host
+        reports = idn.suite_ftpair()
+        assert max(r.abs_err for r in reports) <= 1e-13
+        assert sum(r.params["quad_evals"] for r in reports) == 27210
 
 
 class TestHochstadt:

@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from beamkit import integralrep
 from beamkit.beamcore import BeamParams, FieldPoint, cauchy, eval_direct, vacuum
-from beamkit.integralrep import _RAY_CUT, _WKD, _ray_edges, eval_integral_rep
-from beamkit.oscquad import _k15_nodes
+from beamkit.integralrep import _WKD, eval_integral_rep
+from beamkit.oscquad import _RAY_CUT, _k15_nodes, _ray_edges
 
 
 class TestAnalyticBranch:
@@ -281,8 +281,8 @@ class TestOffAxis:
 
 class TestConvergenceReporting:
     def test_near_axis_stall_cost_pinned(self):
-        # rho = 0.05 beats over ~7000 half-periods, past the cell engine's
-        # widest cell; the ray quadrature converges on 583 K15 panels.  A
+        # rho = 0.05 beats over ~7000 half-periods, where half-period cells
+        # share a sign; the ray quadrature converges on 583 K15 panels.  A
         # count, unlike a time, pins the cost on any host
         b = BeamParams(omega=3.0, cos_theta=0.7)
         p = FieldPoint(z=3.0, rho=0.05, t=0.0)

@@ -1,6 +1,7 @@
 """The public surface: every module imports and every ``__all__`` entry
 resolves, so ``from beamkit.<module> import *`` works."""
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -38,3 +39,10 @@ def test_deleted_names_stay_gone(name):
     # one way to call each route (medium=) and plain array sequences
     for mod in MODULES:
         assert not hasattr(importlib.import_module(mod), name), mod
+
+
+def test_engine_has_no_beat_hint():
+    # slow beats go up vertical rays; the engine keeps half-period cells
+    from beamkit.oscquad import integrate_oscillatory_infinite
+    params = inspect.signature(integrate_oscillatory_infinite).parameters
+    assert "beat_hint" not in params

@@ -32,7 +32,14 @@ def test_identity_suite_planewave_passes(capsys):
     # the planewave suite is six partial-wave sums, a few milliseconds
     mod = _load(next(p for p in SCRIPTS if p.stem == "identity_suite"))
     assert mod.main(["--suite", "planewave"]) == 0
-    assert "6/6 reports pass" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "6/6 reports pass" in out
+    # one summary line for the suite: reports, failures, seconds, and "-"
+    # for quad_evals, since no planewave report carries any
+    row = next(ln.split() for ln in out.splitlines()
+               if ln.startswith("planewave "))
+    assert row[:3] == ["planewave", "6", "0"] and row[4] == "-"
+    assert float(row[3]) >= 0.0
 
 
 def test_domain_sweep_three_draws(capsys):
