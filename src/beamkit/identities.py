@@ -32,14 +32,12 @@ The checks:
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .oscquad import (_EPMACH, _PANEL_WH, _WG7, _WK15, _k15_nodes,
-                      _ray_edges, integrate_finite,
+from .oscquad import (_segment_and_rays, integrate_finite,
                       integrate_oscillatory_infinite, regularized_j0_fourier)
 from .pwseries import truncation_order
 from .specfun import (bessel_j0, legendre_p, legendre_p_sequence, spherical_jn,
@@ -114,6 +112,10 @@ def _report(identity_id: str, params: dict, lhs, rhs, tol: float,
     return IdentityReport(identity_id=identity_id, params=params, lhs=lhs,
                           rhs=rhs, abs_err=float(abs_err),
                           rel_err=float(rel_err), tol=float(tol), ok=bool(ok))
+
+
+# node budget of the Fourier-pair check's segment and rays
+_FT_PAIR_NODES = 1 << 20
 
 
 def _jn_signed(n: int, lam) -> np.ndarray:
@@ -216,12 +218,17 @@ def legendre_ft_pair(n: int, beta: float, tol: float = 1e-8) -> IdentityReport:
     rhs = P_n(beta), for |beta| < 1 strictly (the transform has jump
     support edges at |beta| = 1 and the symmetric limit halves there).
 
-    Equal K15 panels cover [-L, L], L the first multiple of pi/2 at or past
-    2n + 4.  Past L, j_n = (h_n^(1) + h_n^(2))/2 with h_n = e^{+-i lam} times
-    a polynomial in 1/lam (DLMF 10.49.6), and each part times e^{i beta lam}
-    goes up or down a vertical ray; the left tail is the right one at -beta,
-    times (-1)^n.  The error claim is the K15 - G7 difference of every
-    panel plus a rounding floor.
+    ``oscquad._segment_and_rays`` takes the integral: equal K15 panels on
+    [-L, L], L the first multiple of pi/2 at or past 2n + 4, and past L the
+    parts of j_n = (h_n^(1) + h_n^(2))/2 up and down vertical rays; the left
+    tail is the right one at -beta, times (-1)^n.  Here h_n is e^{+-i lam}
+    times a polynomial in L/lam (DLMF 10.49.6, coefficients scaled by L^k
+    so that none overflows), and the rays are laid out along its Debye
+    chord sqrt(lam^2 - (n + 1/2)^2).  The error claim is the K15 - G7
+    difference of every panel plus a rounding floor.  Near |beta| = 1 at
+    high n the claim can exceed the error (n = 80, beta = 0.999: 2.7e-5
+    claimed, 4e-11 off), and from about n = 150 the polynomial cancels at
+    |lam| = L; both come back flagged.
     """
     if n < 0:
         raise ValueError(f"negative order: n={n}")
@@ -229,50 +236,37 @@ def legendre_ft_pair(n: int, beta: float, tol: float = 1e-8) -> IdentityReport:
         raise ValueError(
             f"beta must lie strictly inside (-1, 1): beta={beta!r}")
     big_l = math.ceil((4.0 * n + 8.0) / np.pi) * (0.5 * np.pi)
-    # rays (+1 up / -1 down, rate, factor): the e^{+-i lam} parts of the tail
-    # at b = beta, then at b = -beta, decay at 1 +- b on lam = L +- i s; the
-    # factor holds 1/2, (-1)^n, +-i from dlam, (+-i)^(-n-1) and the phase
-    rays = [(sign, 1.0 + sign * b, 0.5 * parity * (-1j * sign) ** n
-             * cmath.exp(1j * sign * (1.0 + sign * b) * big_l))
-            for b, parity in ((beta, 1), (-beta, (-1) ** n))
-            for sign in (1.0, -1.0)]
-    edges = [_ray_edges(big_l, 0.0, rate) for _, rate, _ in rays]
-    n_seg = math.ceil(big_l * (1.0 + abs(beta)) / _PANEL_WH)
-    grid = np.linspace(-big_l, big_l, n_seg + 1)
-    h, x = _k15_nodes(np.concatenate([grid[:-1]] + [e[:-1] for e in edges]),
-                      np.concatenate([grid[1:]] + [e[1:] for e in edges]))
-    lam, s = x[:n_seg], x[n_seg:]
-    sign, rate, factor = (np.repeat(col, [len(e) - 1 for e in edges])[:, None]
-                          for col in zip(*rays))
-    # the sum over k of (+-i)^k a_k(n + 1/2) / z^(k+1) at z = L +- i s
-    f = math.factorial
-    a = [f(n + k) / (2 ** k * f(k) * f(n - k)) for k in range(n, -1, -1)]
-    z = big_l + 1j * sign * s
-    fx = np.concatenate([_jn_signed(n, lam) * np.exp(1j * beta * lam),
-                         factor * np.exp(-rate * s) / z
-                         * np.polyval(a, 1j * sign / z)])
-    k15 = fx @ _WK15
-    # a node's phase, beta*lam or rate*L, is rounded by at most eps*2L
-    err = (h @ np.abs(k15 - fx[:, 1::2] @ _WG7)
-           + _EPMACH * (1.0 + 2.0 * big_l) * h @ (np.abs(fx) @ _WK15)) / np.pi
-    converged = bool(err <= 0.5 * tol)
-    params = {"n": n, "beta": float(beta), "quad_error": float(err),
-              "quad_evals": fx.size, "quad_converged": converged}
-    return _report("legendre_ft_pair", params,
-                   ((-1j) ** n / np.pi) * (h @ k15), legendre_p(n, beta), tol,
-                   healthy=converged)
+    # h_n(z) = e^{+-iz} (-+i)^(n+1) / z times the sum over k of
+    # b_k (+-i L / z)^k, b_k = a_k(n + 1/2) / L^k, highest k first
+    b = np.cumprod([1.0] + [(n + k + 1) * (n - k) / (2 * (k + 1) * big_l)
+                            for k in range(n)])[::-1]
+
+    def ray_part(z, isign, rate_s):
+        # half of h_n, times +-i from dlam, up or down its ray
+        return (0.5 * (-isign) ** n * np.exp(-rate_s) / z
+                * np.polyval(b, isign * big_l / z))
+
+    # the rays follow the Debye chord sqrt(z^2 - (n + 1/2)^2) of h_n
+    q = _segment_and_rays(lambda u: _jn_signed(n, u), ray_part, big_l, 0.0,
+                          beta, 1.0 - abs(beta), -(n + 0.5) ** 2, (-1) ** n,
+                          0.5 * np.pi * tol, _FT_PAIR_NODES)
+    params = {"n": n, "beta": float(beta),
+              "quad_error": q.error_estimate / np.pi,
+              "quad_evals": q.n_evals, "quad_converged": q.converged}
+    return _report("legendre_ft_pair", params, (-1j) ** n / np.pi * q.value,
+                   legendre_p(n, beta), tol, healthy=q.converged)
 
 
-def _jn_yn_square_coeffs(n: int) -> list:
-    """c_0 .. c_n with j_n(x)^2 + y_n(x)^2 = sum_k c_k x^(-2-2k).
+def _jn_yn_square_coeffs(n: int, scale: float) -> np.ndarray:
+    """d_0 .. d_n with j_n(x)^2 + y_n(x)^2 = sum_k d_k scale^(2k) x^(-2-2k).
 
-    Abramowitz and Stegun 10.1.27:
-    c_k = (n+k)! (2k)! / ((n-k)! (k!)^2 4^k), from exact integers and one
-    correctly rounded division each.
+    Abramowitz and Stegun 10.1.27 gives c_k = (n+k)! (2k)! / ((n-k)!
+    (k!)^2 4^k); d_k = c_k / scale^(2k) comes from the ratio of successive
+    c_k, so no factorial is formed and nothing overflows at high n.
     """
-    f = math.factorial
-    return [f(n + k) * f(2 * k) / (f(n - k) * f(k) ** 2 * 4 ** k)
-            for k in range(n + 1)]
+    scale2 = scale * scale
+    return np.cumprod([1.0] + [(n + k + 1) * (n - k) * (2 * k + 1)
+                               / (2 * (k + 1) * scale2) for k in range(n)])
 
 
 def jn_norm_integral(n: int) -> IdentityReport:
@@ -285,9 +279,9 @@ def jn_norm_integral(n: int) -> IdentityReport:
     """
     if n < 0:
         raise ValueError(f"negative order: n={n}")
-    coeffs = _jn_yn_square_coeffs(n)
     half = 0.5 * np.pi
     big_l = math.ceil((2.0 * n + 4.0) / half) * half
+    coeffs = _jn_yn_square_coeffs(n, big_l)
 
     def f(lam):
         # the sign of j_n at negative lam cancels in the square
@@ -295,12 +289,11 @@ def jn_norm_integral(n: int) -> IdentityReport:
         out = jn * jn
         far = np.abs(lam) >= big_l
         u = 1.0 / (lam[far] * lam[far])
-        out[far] -= 0.5 * u * np.polyval(coeffs[::-1], u)
+        out[far] -= 0.5 * u * np.polyval(coeffs[::-1], big_l * big_l * u)
         return out
 
     # both half-lines of the non-oscillating part past L
-    tail = math.fsum(c * big_l ** (-1 - 2 * k) / (1 + 2 * k)
-                     for k, c in enumerate(coeffs))
+    tail = math.fsum(d / (1 + 2 * k) for k, d in enumerate(coeffs)) / big_l
     rhs = np.pi / (2 * n + 1)
     tol = 1e-7
     q = integrate_oscillatory_infinite(f, period_hint=np.pi,

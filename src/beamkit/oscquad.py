@@ -19,17 +19,22 @@ Three layers:
 
 Integrands are called with numpy arrays of abscissae and must evaluate
 elementwise.  ``_k15_nodes`` is the one place that lays out Gauss-Kronrod
-nodes, and ``_ray_edges`` the one layout of vertical steepest-descent rays,
-which the integral route and the Fourier-pair check take where a slow beat
-would stall the cells.  Each quadrature step makes one integrand call: the
-first panel or both children of a bisection (through ``_k15``), or a batch
-of whole cell pairs, both sides of each, up to about ``_BATCH_NODES`` nodes
-(one pair when a pair alone holds more).  The cell loop lays out cell 0
-once and shifts its nodes by the cell offsets, so a carrier folds into
-fixed weights and costs one phase per cell pair instead of one complex
-exponential per node; the cells of a batch are summed by one real matrix
-product against the weights' real and imaginary parts and then fed to the
-accelerator one by one.
+nodes.  ``_segment_and_rays`` is the one quadrature that takes a line
+integral with a carrier ``exp(i*c*x)``, |c| < 1, on equal K15 panels over
+[-L, L] and past L up and down vertical steepest-descent rays laid out by
+``_ray_edges`` (Huybrechs and Vandewalle, SIAM J. Numer. Anal. 44, 2006).
+Its two callers, the integral route and the Fourier-pair check, take it
+where a slow beat would stall the cells, and pass only their integrand on
+the segment, its parts on the rays, L and a chord for the ray layout.
+In ``integrate_finite`` and the cell loop each quadrature step makes one
+integrand call: the first panel or both children of a bisection (through
+``_k15``), or a batch of whole cell pairs, both sides of each, up to about
+``_BATCH_NODES`` nodes (one pair when a pair alone holds more).  The cell
+loop lays out cell 0 once and shifts its nodes by the cell offsets, so a
+carrier folds into fixed weights and costs one phase per cell pair instead
+of one complex exponential per node; the cells of a batch are summed by one
+real matrix product against the weights' real and imaginary parts and then
+fed to the accelerator one by one.
 """
 from __future__ import annotations
 
@@ -66,6 +71,8 @@ _PANEL_WH = 1.5
 _RAY_CUT = 1e-3 * _EPMACH
 # a ray panel widens by the fall of |f| since the ray's start to this power
 _GROW_POWER = 1.0 / 15.0
+# nodes per integrand call of the segment-and-rays quadrature
+_CHUNK_NODES = 32768
 
 
 @dataclass(frozen=True)
@@ -117,6 +124,9 @@ _WG = np.array([
 _NODES = np.concatenate([-_XGK[:7], [0.0], _XGK[6::-1]])
 _WK15 = np.concatenate([_WGK[:7], [_WGK[7]], _WGK[6::-1]])
 _WG7 = np.concatenate([_WG[:3], [_WG[3]], _WG[2::-1]])
+# K15 weights and K15 - G7 weights, as the columns of one matrix
+_WKD = np.column_stack([_WK15, _WK15])
+_WKD[1::2, 1] -= _WG7
 
 
 def _k15_nodes(a, b):
@@ -157,8 +167,12 @@ def _k15_error(h, fx):
 def _ray_edges(a: float, beta2: float, rate: float) -> list:
     """Panel edges in s on the vertical ray z = a +- i*s (a > 0) of a part
     e^{+-iR}/(2R), R = sqrt(z^2 + beta2), that decays at ``rate`` with its
-    carrier, out to where it is negligible."""
-    beta = math.sqrt(beta2)
+    carrier, out to where it is negligible.  A negative beta2 = -nu^2
+    (a > nu) puts the branch points of R on the real axis at +-nu."""
+    if beta2 >= 0.0:
+        near_a, near_s = a, math.sqrt(beta2)
+    else:
+        near_a, near_s = a - math.sqrt(-beta2), 0.0
     cut = _RAY_CUT * 2.0 * rate
     wide = 2.0 * _PANEL_WH
     # at s = 0, R = sqrt(a^2 + beta2) and q are real: |2R f| = 1
@@ -177,14 +191,118 @@ def _ray_edges(a: float, beta2: float, rate: float) -> list:
         if decay <= cut * abs_r:
             return edges
         # a panel resolves the local frequency rate + |q/R| and keeps well
-        # away from the branch point of R at +-i*beta.  Where |f| has
-        # fallen by F since s = 0 it widens by F^(1/15): K15 - G7 goes like
-        # h^15 times a 14th derivative that has fallen with |f|, so no
-        # panel's estimate exceeds the first one's
+        # away from the nearer branch point of R.  Where |f| has fallen by
+        # F since s = 0 it widens by F^(1/15): K15 - G7 goes like h^15
+        # times a 14th derivative that has fallen with |f|, so no panel's
+        # estimate exceeds the first one's
         grow = (abs_r / (r0 * decay)) ** _GROW_POWER
-        s += min(0.4 * math.hypot(a, s - beta),
+        s += min(0.4 * math.hypot(near_a, s - near_s),
                  wide * grow / (rate + abs(q / r)))
         edges.append(s)
+
+
+def _segment_and_rays(f: Callable, ray_f: Callable, big_l: float, m: float,
+                      c: float, delta: float, beta2: float, parity: float,
+                      tol: float, budget: int) -> QuadratureResult:
+    """Int f(lambda - m) e^{i c lambda} dlambda over the line, for
+    |c| = 1 - delta < 1 (delta given without cancellation).
+
+    Equal K15 panels of half-width ``_PANEL_WH / (1 + |c|)`` cover [-L, L];
+    f is real and called with flat arrays of u = lambda - m, which it may
+    overwrite.  Past L each part e^{i(c lambda +- R)} of the integrand goes
+    up or down a vertical ray z = a +- i*s in u, laid out by ``_ray_edges``
+    for R = sqrt(z^2 + beta2), where it decays like e^{-(1 +- c) s}.  The
+    right rays start at a = L - m; the left ones, at L + m, carry the right
+    tail at -m and -c, times ``parity``.  ``ray_f(z, isign, rate_s)`` gives
+    a part on (panels, 15) tables of z, rate*s and isign = i*sign, without
+    its phase e^{i c m} e^{i sign rate a}.  The error claim is the K15 - G7
+    difference of every panel plus eps times the absolute sums, each node
+    weighted by the size of its phase.  A layout of more than ``budget``
+    nodes is refused before any evaluation, with n_evals = 0.
+    """
+    def unconverged():
+        return QuadratureResult(value=0j, error_estimate=_OFLOW, n_evals=0,
+                                converged=False)
+
+    n_seg = big_l * (1.0 + abs(c)) / _PANEL_WH
+    if 15.0 * n_seg > budget:
+        return unconverged()
+    n_seg = math.ceil(n_seg)
+    # rays (a, +1 up / -1 down, rate), rate = 1 + sign*c without
+    # cancellation; the left tail is the right one under lambda -> -lambda,
+    # m -> -m, c -> -c, which leaves c*m alone
+    one_minus, one_plus = ((delta, 2.0 - delta) if c > 0
+                           else (2.0 - delta, delta))
+    rays = ((big_l - m, 1.0, one_plus), (big_l - m, -1.0, one_minus),
+            (big_l + m, 1.0, one_minus), (big_l + m, -1.0, one_plus))
+    lo, hi, counts = [], [], []
+    for a, _, rate in rays:
+        edges = _ray_edges(a, beta2, rate)
+        lo += edges[:-1]
+        hi += edges[1:]
+        counts.append(len(edges) - 1)
+    n_evals = 15 * (n_seg + len(lo))
+    if n_evals > budget:
+        return unconverged()
+
+    # e^{i c u} with c = sign*(1 - delta) taken apart: a rounded c would
+    # shift the slow phase (c -+ 1)*lambda by about eps*L, alike over the
+    # whole segment
+    sign_c = math.copysign(1.0, c)
+
+    def carrier(u, exp=cmath.exp):
+        return exp((1j * sign_c) * u) * exp((-1j * sign_c * delta) * u)
+
+    # the segment in u = lambda - m, in chunks that all share one layout:
+    # a node is the chunk's start plus a fixed offset, rounded once, and
+    # its phase is the start's times the offset's
+    width = 2.0 * big_l / n_seg
+    chunk = _CHUNK_NODES // 15
+    step = min(chunk, n_seg)
+    half = 0.5 * width
+    x0 = half + half * _NODES
+    w = half * carrier(x0, np.exp)
+    wk = w * _WKD[:, 0]
+    wd = w * _WKD[:, 1]
+    w_parts = np.array([wk.real, wk.imag, wd.real, wd.imag]).T
+    w_abs = half * _WK15
+    offsets = width * np.arange(step)
+    table = carrier(offsets, np.exp)
+    local = offsets[:, None] + x0
+    value, err, absum = 0j, 0.0, 0.0
+    for i in range(0, n_seg, step):
+        n = min(step, n_seg - i)
+        u0 = (-big_l - m) + width * i
+        fx = f((u0 + local[:n]).ravel()).reshape(n, 15)
+        sums = fx @ w_parts
+        value += carrier(u0) * complex(
+            table[:n] @ (sums[:, 0] + 1j * sums[:, 1]))
+        err += float(np.sum(np.hypot(sums[:, 2], sums[:, 3])))
+        # a node at lambda carries an argument rounded by eps*|lambda|
+        np.abs(fx, out=fx)
+        absum += float((1.0 + abs(m) + width + np.abs(u0 + offsets[:n]))
+                       @ (fx @ w_abs))
+
+    # every ray panel, with its ray's a, sign, rate, phase e^{i sign rate a}
+    # (times parity on the left) and rounding weight 1 + rate*a
+    per_ray = np.array([(a, sign, rate, cmath.exp(1j * sign * rate * a),
+                         1.0 + rate * a) for a, sign, rate in rays])
+    per_ray[2:, 3] *= parity
+    per_panel = np.repeat(per_ray, counts, axis=0)
+    lo, hi = np.array(lo), np.array(hi)
+    for j in range(0, lo.size, chunk):
+        a, sign, rate, phase, weight = per_panel[j:j + chunk].T
+        h, s = _k15_nodes(lo[j:j + chunk], hi[j:j + chunk])
+        isign = (1j * sign)[:, None]
+        fx = ray_f(a[:, None] + isign * s, isign, rate.real[:, None] * s)
+        kd = fx @ _WKD
+        value += complex((h * phase) @ kd[:, 0])
+        err += float(h @ np.abs(kd[:, 1]))
+        absum += float((weight.real * h) @ (np.abs(fx) @ _WK15))
+    value *= carrier(m)
+    err += _EPMACH * absum
+    return QuadratureResult(value=value, error_estimate=err, n_evals=n_evals,
+                            converged=bool(err <= tol))
 
 
 def integrate_finite(f: Callable, a: float, b: float, tol: float = 1e-10,
@@ -482,8 +600,10 @@ def integrate_oscillatory_infinite(f: Callable, period_hint: float,
         for cell in cells.tolist():
             total += cell
             if prev_cell is not None and cell != 0 and prev_cell != 0:
-                cosang = ((cell * prev_cell.conjugate()).real
-                          / (abs(cell) * abs(prev_cell)))
+                # each cell normalized first: the product of two magnitudes
+                # under about 1e-162 would underflow to 0
+                cosang = ((cell / abs(cell))
+                          * (prev_cell / abs(prev_cell)).conjugate()).real
                 same_dir = 0.8 * same_dir + 0.2 * cosang
             if k >= k0:
                 n_fed += 1

@@ -78,8 +78,11 @@ class TestFtPair:
         _assert_ok(r)
         assert r.rhs == pytest.approx(-51.0 / 125.0, abs=1e-14)
 
+    # (30, 0.999) and (40, 0.99) flagged while the rays were laid out for
+    # e^{+-iz} alone; on h_n's Debye chord they pass
     @pytest.mark.parametrize("n,beta", [(0, 0.0), (1, 0.3), (2, -0.5),
-                                        (3, 0.9), (6, -0.9)])
+                                        (3, 0.9), (6, -0.9), (30, 0.999),
+                                        (40, 0.99)])
     def test_orders(self, n, beta):
         _assert_ok(legendre_ft_pair(n, beta))
 
@@ -97,8 +100,20 @@ class TestFtPair:
         # half-period cells, widened to the beat, were 3.2e-10 off); a
         # count, unlike a time, pins the cost on any host
         reports = idn.suite_ftpair()
-        assert max(r.abs_err for r in reports) <= 1e-13
-        assert sum(r.params["quad_evals"] for r in reports) == 27210
+        assert len(reports) == 42
+        assert all(r.params["quad_converged"] for r in reports)
+        assert max(abs(r.lhs - r.rhs) for r in reports) <= 1e-15
+        assert sum(r.params["quad_evals"] for r in reports) == 28980
+
+    @pytest.mark.parametrize("n,beta", [(80, 0.999), (151, 0.3), (200, 0.5),
+                                        (300, 0.9)])
+    def test_high_orders_right_or_flagged(self, n, beta):
+        # a_k(n + 1/2) from factorials overflowed a float from n = 151 on;
+        # scaled by L^k they do not.  The sum over k cancels at |z| = L
+        # there, and at (80, 0.999) the slow rays' first panels over-claim,
+        # so a report may fail, but only with its quadrature flagged
+        r = legendre_ft_pair(n, beta)
+        assert r.ok or r.params["quad_converged"] is False
 
 
 class TestHochstadt:
@@ -129,8 +144,11 @@ class TestOrthogonality:
 
 
 class TestJnNorm:
-    @pytest.mark.parametrize("n,expected", [(0, math.pi), (1, math.pi / 3.0),
-                                            (4, math.pi / 9.0)])
+    # n = 61 tripped the engine's cell cosine (ZeroDivisionError), and
+    # from n = 86 on the factorial coefficients overflowed a float
+    @pytest.mark.parametrize("n,expected", [
+        (0, math.pi), (1, math.pi / 3.0), (4, math.pi / 9.0)]
+        + [(n, math.pi / (2 * n + 1)) for n in (61, 86, 100, 150, 200)])
     def test_norms(self, n, expected):
         r = jn_norm_integral(n)
         _assert_ok(r)
@@ -154,12 +172,14 @@ class TestJnNorm:
 
     @pytest.mark.parametrize("n", [0, 1, 2, 5, 10, 20])
     def test_square_coeffs_match_scipy(self, n):
-        # Abramowitz and Stegun 10.1.27 against scipy's j_n^2 + y_n^2
+        # Abramowitz and Stegun 10.1.27, scaled by L = 2n + 4, against
+        # scipy's j_n^2 + y_n^2
         special = pytest.importorskip("scipy.special")
-        x = np.array([0.7, 2.0, 2.0 * n + 4.0, 57.3, 400.0])
+        big_l = 2.0 * n + 4.0
+        x = np.array([0.7, 2.0, big_l, 57.3, 400.0])
         u = 1.0 / (x * x)
-        poly = sum(c * u ** (k + 1)
-                   for k, c in enumerate(idn._jn_yn_square_coeffs(n)))
+        poly = sum(d * (big_l * big_l) ** k * u ** (k + 1)
+                   for k, d in enumerate(idn._jn_yn_square_coeffs(n, big_l)))
         ref = special.spherical_jn(n, x) ** 2 + special.spherical_yn(n, x) ** 2
         np.testing.assert_allclose(poly, ref, rtol=1e-14, atol=0)
 

@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import importlib.util
 import math
 import time
@@ -10,8 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from beamkit import integralrep
 from beamkit.beamcore import BeamParams, FieldPoint, cauchy, eval_direct, vacuum
-from beamkit.integralrep import _WKD, eval_integral_rep
-from beamkit.oscquad import _RAY_CUT, _k15_nodes, _ray_edges
+from beamkit.cli import main
+from beamkit.integralrep import eval_integral_rep
+from beamkit.oscquad import _RAY_CUT, _WKD, _k15_nodes, _ray_edges
 
 
 class TestAnalyticBranch:
@@ -94,7 +96,7 @@ def _ray_panel_estimates(a, beta2, rate, sign):
 
 def _found_rays():
     """(a, beta2, rate) of the four rays at omega=6, cos_theta=0.8, z=1,
-    rho=1.5, laid out as ``_band_integral`` lays them out."""
+    rho=1.5, laid out as ``_segment_and_rays`` lays them out."""
     r = math.hypot(1.0, 1.5)
     mu, c, delta = 6.0 * r, 1.0 / r, 1.5 * 1.5 / (r * (r + 1.0))
     m, beta2 = 0.8 * mu, mu * mu * 0.36
@@ -388,6 +390,21 @@ class TestReadmeRow:
             assert abs(res.value - eval_direct(b, p)) <= 1e-9, rho
         assert band == 21
         assert len(calls) == 2
+
+
+    def test_rows_z_minus1_0_1_bit_for_bit(self, tmp_path):
+        # the README integral map's rows z = -1, 0 and 1, as
+        # ``beamkit map`` writes them: 123 points over the analytic axis,
+        # the rays (1 - |cos eta| < 3/4) and the cell engine (z = 0 and
+        # the far end of z = +-1).  Any change to a layout, a weight or an
+        # error claim of either path shows here as a new digest
+        out = tmp_path / "rows.csv"
+        assert main(["map", "--rep", "integral", "--omega", "6",
+                     "--cos-theta", "0.8", "--z-min", "-1", "--z-max", "1",
+                     "--z-steps", "3", "--rho-min", "0", "--rho-max", "4",
+                     "--rho-steps", "41", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "68914096865be5bb41822ac36bfeb937cfa1f729c346e0148bb79516d8ad17c2")
 
 
 class TestDispersive:

@@ -431,6 +431,23 @@ def _partial_sums(terms):
     return sums
 
 
+class TestTinyIntegrand:
+    def test_cells_below_1e_162_scale_through(self):
+        # two cells' magnitudes multiplied underflowed to 0 below about
+        # 1e-162 and raised ZeroDivisionError; scaled by 1e-170 the
+        # integrand now takes the same cells to the same value
+        def f(x):
+            return np.cos(x) / (1.0 + x * x)
+
+        ref = integrate_oscillatory_infinite(f, 2.0 * np.pi)
+        tiny = integrate_oscillatory_infinite(lambda x: 1e-170 * f(x),
+                                              2.0 * np.pi)
+        assert tiny.converged
+        assert tiny.n_evals == ref.n_evals
+        assert tiny.value.real == pytest.approx(1e-170 * ref.value.real,
+                                                rel=1e-12)
+
+
 class TestEpsilon:
     @pytest.mark.parametrize("terms,expected", [
         ([(-1) ** k / (k + 1) for k in range(20)], _EPS_ALT),

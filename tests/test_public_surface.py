@@ -1,8 +1,10 @@
 """The public surface: every module imports and every ``__all__`` entry
 resolves, so ``from beamkit.<module> import *`` works."""
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -46,3 +48,18 @@ def test_engine_has_no_beat_hint():
     from beamkit.oscquad import integrate_oscillatory_infinite
     params = inspect.signature(integrate_oscillatory_infinite).parameters
     assert "beat_hint" not in params
+
+
+@pytest.mark.parametrize("name,allowed", [
+    ("integralrep", {"_check_cell_budget", "_segment_and_rays"}),
+    ("identities", {"_segment_and_rays"})])
+def test_private_oscquad_imports(name, allowed):
+    # the segment-and-rays quadrature has one copy, in oscquad: its callers
+    # pass an integrand and a layout, and borrow no table or constant
+    path = Path(beamkit.__file__).parent / f"{name}.py"
+    private = {alias.name
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ImportFrom)
+               and node.module == "oscquad"
+               for alias in node.names if alias.name.startswith("_")}
+    assert private <= allowed, private - allowed
