@@ -149,11 +149,13 @@ def _k15(f, a, b):
 def _k15_error(h, fx):
     """(kronrod, error, floor) of one panel from its half-width and 15
     values; floor is the rounding floor under the error, 50 eps resabs."""
-    k = h * np.sum(_WK15 * fx)
-    g = h * np.sum(_WG7 * fx[1::2])
-    resabs = abs(h) * float(np.sum(_WK15 * np.abs(fx)))
+    # ndarray.sum, not np.sum: the same reduction without np.sum's
+    # Python-level dispatch, which cost about as much as the sums
+    k = h * (_WK15 * fx).sum()
+    g = h * (_WG7 * fx[1::2]).sum()
+    resabs = abs(h) * float((_WK15 * np.abs(fx)).sum())
     mean = k / (2.0 * h) if h != 0 else 0.0
-    resasc = abs(h) * float(np.sum(_WK15 * np.abs(fx - mean)))
+    resasc = abs(h) * float((_WK15 * np.abs(fx - mean)).sum())
     diff = abs(k - g)
     if resasc != 0.0 and diff != 0.0:
         err = resasc * min(1.0, (200.0 * diff / resasc) ** 1.5)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import re
@@ -284,6 +285,21 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "bogus"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("suite,digest", [
+        ("jnnorm",
+         "82949fe627ee78b02b101ca7ad167ed67bd8f15e5d7937033110b10d54ed0490"),
+        ("ftpair",
+         "c1c37647899b31771d0c0e957b98f18292da281a104d5ca902f612491d3e5a2a"),
+    ])
+    def test_jn_integrand_suites_bit_for_bit(self, suite, digest, tmp_path,
+                                             capsys):
+        # the two suites whose integrands call spherical_jn on arrays of
+        # quadrature nodes, as ``beamkit verify`` writes them.  Any change
+        # to a j_n bit, a panel or an error claim shows as a new digest
+        out = tmp_path / "reports.json"
+        assert main(["verify", "--suite", suite, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestLegendreSumCmd:

@@ -44,15 +44,16 @@ def test_identity_suite_planewave_passes(capsys):
 
 def test_domain_sweep_three_draws(capsys):
     # the first three draws of the seeded domain sweep, one report line
-    # per route and no silent miss; the last column, the route's total
-    # work, is a whole count
+    # per route, no silent miss and no point further off than its claim;
+    # the last column, the route's total work, is a whole count
     mod = _load(next(p for p in SCRIPTS if p.stem == "domain_sweep"))
     assert mod.main(["--n", "3"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("3 draws, seed 12345\n")
     lines = [ln.split() for ln in out.splitlines()[1:]]
+    assert lines[0][:4] == ["route", "flagged", "silent", ">claim"]
     assert lines[0][-1] == "work"
-    rows = {ln[0]: ln[1:3] for ln in lines[1:]}
-    assert rows == {"series": ["0", "0"], "integral": ["0", "0"]}
+    rows = {ln[0]: ln[1:4] for ln in lines[1:]}
+    assert rows == {"series": ["0", "0", "0"], "integral": ["0", "0", "0"]}
     for ln in lines[1:]:
         assert ln[-1].isdigit() and int(ln[-1]) > 0

@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import beamkit.specfun as specfun
 from beamkit.specfun import (UNDERFLOW_FLUSH, _miller_offset, _sph_j0, _sph_j1,
-                             _sph_sequence_miller, bessel_j0, legendre_p,
-                             legendre_p_sequence, spherical_jn,
-                             spherical_jn_sequence)
+                             _sph_miller_columns, _sph_sequence_miller,
+                             bessel_j0, legendre_p, legendre_p_sequence,
+                             spherical_jn, spherical_jn_sequence)
 
 
 class TestLegendre:
@@ -184,17 +185,48 @@ class TestSphericalBessel:
             with pytest.raises(ValueError):
                 spherical_jn_sequence(3, x)
 
-    # x on both sides of x = n, the tiny-argument band and exact zero
+    # x on both sides of x = n, the tiny-argument band and exact zero,
+    # x in [1e-8, 1e-2], where a high order's sweep rescales several
+    # times, and x just under k*pi, where the sweep anchors on j_1
     _ARRAY_X = np.concatenate([[0.0, 1e-9, 1e-3, 0.5, 1.0],
                                np.linspace(0.01, 40.0, 400),
-                               np.arange(26.0), np.arange(1.0, 26.0) - 1e-9])
+                               np.arange(26.0), np.arange(1.0, 26.0) - 1e-9,
+                               np.geomspace(1e-8, 1e-2, 40),
+                               np.nextafter(np.pi * np.arange(1.0, 120.0),
+                                            0.0)])
 
-    @pytest.mark.parametrize("n", range(25))
+    @pytest.mark.parametrize("n", [*range(25), 150, 300, 1000])
     def test_array_matches_scalar_bitwise(self, n):
         got = spherical_jn(n, self._ARRAY_X)
         want = np.array([spherical_jn(n, float(x)) for x in self._ARRAY_X])
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
         assert type(spherical_jn(n, 2.5)) is float
+
+    def test_array_below_n_makes_no_scalar_sweep(self, monkeypatch):
+        # every entry in [1e-8, n) goes through one array sweep; only
+        # entries under 1e-8 take the scalar table.  A count, unlike a
+        # time, pins the cost on any host
+        calls = []
+
+        def counted(n_max, x):
+            calls.append(x)
+            return spherical_jn_sequence(n_max, x)
+
+        monkeypatch.setattr(specfun, "spherical_jn_sequence", counted)
+        for n in (1, 7, 60):
+            x = np.concatenate([np.geomspace(1e-8, n, 50, endpoint=False),
+                                [np.nextafter(float(n), 0.0)]])
+            spherical_jn(n, x)
+            assert calls == []
+        spherical_jn(7, np.array([0.0, 1e-9, 1e-3, 3.0, 9.0]))
+        assert calls == [0.0, 1e-9]
+
+    def test_array_sweep_in_blocks_is_one_sweep(self):
+        # at n = 1000 a block holds 1793 columns, so 4000 entries below n
+        # take three sweeps; each column is the one-sweep column
+        x = np.linspace(1e-3, 999.0, 4000)
+        assert spherical_jn(1000, x).tobytes() == \
+            _sph_miller_columns(1000, x)[1000].tobytes()
 
     def test_array_keeps_shape(self):
         x = self._ARRAY_X[:40].reshape(5, 8)
@@ -318,6 +350,18 @@ class TestMillerSweep:
             want = _miller_by_array(n, x)
             assert got.dtype == np.float64 and got.shape == (n + 1,)
             assert got.tobytes() == want.tobytes(), (n, x)
+
+    def test_array_sweep_bitwise_equal_to_the_scalar_sweep(self):
+        # the draws grouped by order, one array sweep per order
+        by_order = {}
+        for n, x in _miller_draws():
+            by_order.setdefault(n, []).append(x)
+        for n, xs in by_order.items():
+            table = _sph_miller_columns(n, np.array(xs))
+            assert table.shape == (n + 1, len(xs))
+            for col, x in zip(table.T, xs):
+                assert col.tobytes() == _sph_sequence_miller(n, x).tobytes(), \
+                    (n, x)
 
     def test_orders_past_x_flushed_orders_below_kept(self):
         # at x = 0.5 the entries underflow past order ~150; below x an
