@@ -1,0 +1,45 @@
+"""Print the sha256 of the outputs a byte-identical change must keep.
+
+Four digests, one a line: the README field map (omega 6, cos_theta 0.8,
+z in [-3, 3] at 61 steps, rho in [0, 4] at 41) as ``beamkit map`` writes
+its CSV for each representation, then the JSON report file of
+``beamkit verify --suite all``.  Everything runs through ``cli.main`` in
+this one process, into a temporary directory that is removed afterwards.
+Run it on two checkouts and compare the lines:
+
+    PYTHONPATH=src python scripts/output_digests.py
+"""
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+from beamkit.cli import main as beamkit_main
+
+README_GRID = ["--omega", "6", "--cos-theta", "0.8",
+               "--z-min", "-3", "--z-max", "3", "--z-steps", "61",
+               "--rho-min", "0", "--rho-max", "4", "--rho-steps", "41"]
+
+
+def _digest(argv, out: Path) -> str:
+    rc = beamkit_main(argv + ["--out", str(out)])
+    if rc != 0:
+        raise SystemExit(f"beamkit {' '.join(argv)} exited {rc}")
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+def main():
+    with tempfile.TemporaryDirectory() as tmp:
+        for rep in ("direct", "series", "integral"):
+            out = Path(tmp) / f"{rep}.csv"
+            digest = _digest(["map", "--rep", rep] + README_GRID, out)
+            print(f"map {rep:8s} {digest}")
+        # verify prints its pass count to stderr; the digest is of the file
+        digest = _digest(["verify", "--suite", "all"],
+                         Path(tmp) / "reports.json")
+        print(f"verify all   {digest}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

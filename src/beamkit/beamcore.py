@@ -95,37 +95,24 @@ class DispersionModel:
 
 
 @dataclass(frozen=True)
-class _Vacuum(DispersionModel):
-    def evaluate(self, omega: float) -> float:
-        return 1.0
-
-
-@dataclass(frozen=True)
-class _ConstantIndex(DispersionModel):
-    n0: float
-
-    def evaluate(self, omega: float) -> float:
-        return self.n0
-
-
-@dataclass(frozen=True)
 class _CauchyIndex(DispersionModel):
     """n(omega) = a + b*omega^2, the Cauchy dispersion law written in
-    frequency (b/lambda^2 with lambda ~ 1/omega at c = 1)."""
+    frequency (b/lambda^2 with lambda ~ 1/omega at c = 1).  Vacuum and a
+    constant index take b = 0: b*omega*omega is 0.0 at any finite omega."""
 
     a: float
     b: float
 
     def evaluate(self, omega: float) -> float:
         n = self.a + self.b * omega * omega
-        if not np.isfinite(n) or n <= 0:
+        if not math.isfinite(n) or n <= 0:
             raise ValueError(
                 f"cauchy model left the physical range at omega={omega!r}: n={n!r}")
         return n
 
 
 # Shared default medium, so evaluators build no model object per call.
-_VACUUM = _Vacuum()
+_VACUUM = _CauchyIndex(a=1.0, b=0.0)
 
 
 def vacuum() -> DispersionModel:
@@ -135,7 +122,7 @@ def vacuum() -> DispersionModel:
 def constant(n0: float) -> DispersionModel:
     if not np.isfinite(n0) or n0 <= 0:
         raise ValueError(f"constant index must be positive: {n0!r}")
-    return _ConstantIndex(n0=float(n0))
+    return _CauchyIndex(a=float(n0), b=0.0)
 
 
 def cauchy(a: float, b: float) -> DispersionModel:

@@ -39,11 +39,12 @@ import numpy as np
 
 from .oscquad import (_segment_and_rays, integrate_finite,
                       integrate_oscillatory_infinite, regularized_j0_fourier)
-from .pwseries import truncation_order
+from .pwseries import _I_POWERS, truncation_order
 from .specfun import (bessel_j0, legendre_p, legendre_p_sequence, spherical_jn,
                       spherical_jn_sequence)
-from .wavepacket import (ConeAngles, _support_radicand, triple_legendre_sum,
-                         triple_sum_closed_form, xwave_closed_form)
+from .wavepacket import (ConeAngles, _support_radicand, _xwave_ab,
+                         triple_legendre_sum, triple_sum_closed_form,
+                         xwave_closed_form)
 from .beamcore import FieldPoint
 
 __all__ = [
@@ -118,6 +119,11 @@ def _report(identity_id: str, params: dict, lhs, rhs, tol: float,
 _FT_PAIR_NODES = 1 << 20
 
 
+def _big_l(n: int) -> float:
+    # L of the full-line j_n checks, the first multiple of pi/2 >= 2n + 4
+    return math.ceil((2.0 * n + 4.0) / (0.5 * np.pi)) * (0.5 * np.pi)
+
+
 def _jn_signed(n: int, lam) -> np.ndarray:
     # j_n continued to negative argument by parity
     lam = np.asarray(lam, dtype=float)
@@ -152,7 +158,7 @@ def verify_stratton_integral(n: int, omega: float, z: float, rho: float,
 
     q = integrate_finite(integrand, -1.0, 1.0, tol=0.1 * tol)
     sgn = -1.0 if (omega < 0 and n % 2 == 1) else 1.0
-    rhs = 2.0 * (1j ** n) * legendre_p(n, z / r) * sgn \
+    rhs = 2.0 * _I_POWERS[n % 4] * legendre_p(n, z / r) * sgn \
         * spherical_jn(n, abs(omega) * r)
     params = {"n": n, "omega": float(omega), "z": float(z), "rho": float(rho),
               "quad_error": q.error_estimate, "quad_evals": q.n_evals,
@@ -235,7 +241,7 @@ def legendre_ft_pair(n: int, beta: float, tol: float = 1e-8) -> IdentityReport:
     if not abs(beta) < 1:
         raise ValueError(
             f"beta must lie strictly inside (-1, 1): beta={beta!r}")
-    big_l = math.ceil((4.0 * n + 8.0) / np.pi) * (0.5 * np.pi)
+    big_l = _big_l(n)
     # h_n(z) = e^{+-iz} (-+i)^(n+1) / z times the sum over k of
     # b_k (+-i L / z)^k, b_k = a_k(n + 1/2) / L^k, highest k first
     b = np.cumprod([1.0] + [(n + k + 1) * (n - k) / (2 * (k + 1) * big_l)
@@ -253,8 +259,8 @@ def legendre_ft_pair(n: int, beta: float, tol: float = 1e-8) -> IdentityReport:
     params = {"n": n, "beta": float(beta),
               "quad_error": q.error_estimate / np.pi,
               "quad_evals": q.n_evals, "quad_converged": q.converged}
-    return _report("legendre_ft_pair", params, (-1j) ** n / np.pi * q.value,
-                   legendre_p(n, beta), tol, healthy=q.converged)
+    return _report("legendre_ft_pair", params, _I_POWERS[-n % 4] / np.pi
+                   * q.value, legendre_p(n, beta), tol, healthy=q.converged)
 
 
 def _jn_yn_square_coeffs(n: int, scale: float) -> np.ndarray:
@@ -279,8 +285,7 @@ def jn_norm_integral(n: int) -> IdentityReport:
     """
     if n < 0:
         raise ValueError(f"negative order: n={n}")
-    half = 0.5 * np.pi
-    big_l = math.ceil((2.0 * n + 4.0) / half) * half
+    big_l = _big_l(n)
     coeffs = _jn_yn_square_coeffs(n, big_l)
 
     def f(lam):
@@ -356,7 +361,7 @@ def _plane_wave_sum(x: float, cos_gamma: float, n_max: int,
     pg = legendre_p_sequence(n_max, cos_gamma)
     orders = np.arange(n_max + 1)
     coeff = (orders + 0.5) if half_coeff else (2 * orders + 1)
-    return complex(np.sum(coeff * (1j ** orders) * jx * pg))
+    return complex(np.sum(coeff * _I_POWERS[orders % 4] * jx * pg))
 
 
 def plane_wave_expansion_check(x: float, cos_gamma: float,
@@ -422,7 +427,7 @@ def bessel_beam_identity(omega_r: float, tol: float = 1e-8) -> IdentityReport:
     seq = spherical_jn_sequence(n_max, omega_r)
     tail = 2.0 * (abs(seq[-1]) + abs(seq[-2]))
     orders = np.arange(n_max + 1)
-    terms = 2.0 * (1j ** orders) * seq
+    terms = 2.0 * _I_POWERS[orders % 4] * seq
     rhs = complex(np.sum(terms))
 
     # route B: fold each order through its quadrature-evaluated norm
@@ -450,10 +455,11 @@ def _richardson_eps_limit(a: float, b: float, levels: int = 9):
     The regularized value is even in eps, so the sequence eps_k = eps0/2^k
     is a ratio-4 geometric schedule in eps^2 and classic Richardson
     applies.  eps0 stays inside the analyticity radius a - |b| on the
-    support interior.
+    support interior; at a = 0, where the value is 2 eps/(eps^2 + b^2),
+    eps0 scales with |b|.
     """
     gap = a - abs(b)
-    eps0 = 0.4 * gap if gap > 0 else 0.4 * a
+    eps0 = 0.4 * (gap if gap > 0 else a if a > 0 else abs(b))
     prev_row: list[float] = []
     err = math.inf
     for k in range(levels):
@@ -476,10 +482,8 @@ def xwave_oracle_check(cos_theta: float, p: FieldPoint) -> IdentityReport:
     out exactly zero (tol 0), with the oracle's residual recorded for
     reference.
     """
-    st = float(np.sqrt(max(0.0, 1.0 - cos_theta * cos_theta)))
-    a = st * p.rho
-    b = p.t - cos_theta * p.z
     lhs = xwave_closed_form(cos_theta, p)
+    a, b = _xwave_ab(cos_theta, p)
     params = {"cos_theta": float(cos_theta), "z": float(p.z),
               "rho": float(p.rho), "t": float(p.t)}
     oracle, est = _richardson_eps_limit(a, b)

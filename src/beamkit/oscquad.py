@@ -261,8 +261,7 @@ def _segment_and_rays(f: Callable, ray_f: Callable, big_l: float, m: float,
     width = 2.0 * big_l / n_seg
     chunk = _CHUNK_NODES // 15
     step = min(chunk, n_seg)
-    half = 0.5 * width
-    x0 = half + half * _NODES
+    (half,), (x0,) = _k15_nodes([0.0], [width])
     w = half * carrier(x0, np.exp)
     wk = w * _WKD[:, 0]
     wd = w * _WKD[:, 1]
@@ -646,13 +645,13 @@ def regularized_j0_fourier(a: float, b: float, eps: float) -> float:
 
     Evaluates the integral over the whole line of
     ``exp(-eps*|t|) * J_0(a*t) * exp(-i*b*t)``, which equals
-    ``2*Re[1/sqrt(a^2 + (eps - i*b)^2)]`` for a > 0, eps > 0.  As eps
-    drops to zero this tends to 2/sqrt(a^2-b^2) inside |b| < a and to 0
-    outside, which is what makes it a useful independent oracle for the
-    sharp-support closed forms.
+    ``2*Re[1/sqrt(a^2 + (eps - i*b)^2)]`` for a >= 0 (J_0(0) = 1), eps > 0.
+    As eps drops to zero this tends to 2/sqrt(a^2-b^2) inside |b| < a and
+    to 0 outside, which is what makes it a useful independent oracle for
+    the sharp-support closed forms.
     """
-    if not 0.0 < a < math.inf:
-        raise ValueError(f"a must be finite and positive: {a!r}")
+    if not 0.0 <= a < math.inf:
+        raise ValueError(f"a must be finite and nonnegative: {a!r}")
     if not math.isfinite(b):
         raise ValueError(f"b must be finite: {b!r}")
     if not 0.0 < eps < math.inf:

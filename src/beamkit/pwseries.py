@@ -26,10 +26,12 @@ __all__ = [
 ]
 
 HARD_CAP = 5000
-# 2 i^n (n + 1/2) for n <= HARD_CAP, i^n by n mod 4: exact, where 1j ** n
-# drifts by up to 7.5e-13 at n <= 5000
+# i^n = _I_POWERS[n % 4], exact at every n (numpy's power of 1j drifts
+# from n = 100 on, by up to 7.5e-13 at n = 5000); _COEFFS is 2 i^n (n + 1/2)
+_I_POWERS = np.array([1.0, 1j, -1.0, -1j])
+_I_POWERS.flags.writeable = False
 _ORDERS = np.arange(HARD_CAP + 1)
-_COEFFS = 2.0 * np.array([1.0, 1j, -1.0, -1j])[_ORDERS % 4] * (_ORDERS + 0.5)
+_COEFFS = 2.0 * _I_POWERS[_ORDERS % 4] * (_ORDERS + 0.5)
 _COEFFS.flags.writeable = False
 
 

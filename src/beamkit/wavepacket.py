@@ -84,6 +84,12 @@ def support_predicate(a: ConeAngles) -> bool:
     return a.sin_eta * a.sin_theta > abs(a.cos_eta * a.cos_theta - a.cos_gamma)
 
 
+def _xwave_ab(cos_theta: float, p: FieldPoint) -> tuple[float, float]:
+    # (sin(theta) rho, t - cos(theta) z); the support is |b| < a
+    st = math.sqrt(max(0.0, 1.0 - cos_theta * cos_theta))
+    return st * p.rho, p.t - cos_theta * p.z
+
+
 def xwave_closed_form(cos_theta: float, p: FieldPoint) -> float:
     """X-wave field at a point: 2/sqrt(sin^2(theta)rho^2 - (t - cos(theta)z)^2)
     inside the support cone, 0 outside.
@@ -92,9 +98,7 @@ def xwave_closed_form(cos_theta: float, p: FieldPoint) -> float:
     """
     if not abs(cos_theta) <= 1:
         raise ValueError(f"cos_theta outside [-1, 1]: {cos_theta!r}")
-    st = math.sqrt(max(0.0, 1.0 - cos_theta * cos_theta))
-    a = st * p.rho
-    b = p.t - cos_theta * p.z
+    a, b = _xwave_ab(cos_theta, p)
     rad = a * a - b * b
     if not math.isfinite(rad):
         raise ValueError(f"support radicand is not finite: {rad!r}")

@@ -115,6 +115,16 @@ class TestDispersion:
         assert cauchy(1.5, 0.01).evaluate(2.0) == pytest.approx(1.54,
                                                                 rel=1e-15)
 
+    @pytest.mark.parametrize("omega", [0.0, -0.0, -7.3, 1e155, -1e200,
+                                       1.7e308, 5e-324])
+    def test_flat_index_exact_at_every_finite_omega(self, omega):
+        # vacuum and a constant index are the Cauchy law with b = 0:
+        # b*omega*omega is 0.0 even where omega*omega overflows
+        assert vacuum().evaluate(omega) == 1.0
+        assert constant(1.5).evaluate(omega) == 1.5
+        assert cauchy(1.5, 0.0).evaluate(omega) == 1.5
+        assert constant(1.5) == cauchy(1.5, 0.0)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             constant(0.0)

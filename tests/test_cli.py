@@ -291,12 +291,20 @@ class TestVerify:
          "82949fe627ee78b02b101ca7ad167ed67bd8f15e5d7937033110b10d54ed0490"),
         ("ftpair",
          "c1c37647899b31771d0c0e957b98f18292da281a104d5ca902f612491d3e5a2a"),
+        ("planewave",
+         "a0aed41897833c27c1eb8fd71115a6f3aba882bbb408854edca2f3349f20b4d2"),
+        ("beamidentity",
+         "dc1127c483a3480c23299a257dfcb908c6be048b7635818667fff2f70c203b28"),
+        ("hochstadt",
+         "a24daaac650ce1aabd3fd34e4998ee9ea9a5a9927c5dfdd1265acd7160fc32e7"),
     ])
     def test_jn_integrand_suites_bit_for_bit(self, suite, digest, tmp_path,
                                              capsys):
-        # the two suites whose integrands call spherical_jn on arrays of
-        # quadrature nodes, as ``beamkit verify`` writes them.  Any change
-        # to a j_n bit, a panel or an error claim shows as a new digest
+        # the suites whose integrands call spherical_jn on arrays of
+        # quadrature nodes (jnnorm, ftpair) and those that sum j_n tables
+        # against i^n or P_n (planewave, beamidentity, hochstadt), as
+        # ``beamkit verify`` writes them.  Any change to a j_n bit, a
+        # phase, a panel or an error claim shows as a new digest
         out = tmp_path / "reports.json"
         assert main(["verify", "--suite", suite, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -11,7 +11,8 @@ from beamkit.identities import (SUITE_NAMES, bessel_beam_identity,
                                 legendre_ft_pair, legendre_orthogonality,
                                 plane_wave_expansion_check,
                                 plane_wave_negative_control, run_suite,
-                                verify_stratton_integral)
+                                verify_stratton_integral, xwave_oracle_check)
+from beamkit.specfun import legendre_p_sequence, spherical_jn_sequence
 from beamkit.wavepacket import ConeAngles
 
 
@@ -207,6 +208,22 @@ class TestPlaneWave:
         assert r.lhs.real == pytest.approx(2.0, abs=1e-12)
 
 
+    @pytest.mark.parametrize("x,cg", [(150.0, 0.3), (-150.0, -0.7)])
+    def test_sum_takes_exact_i_powers_past_n_100(self, x, cg):
+        # numpy's integer power of 1j drifts from i^n from n = 100 on; the
+        # sum takes i^n from the exact table, so it equals the sum over
+        # [1, i, -1, -i][n % 4] bit for bit
+        n_max = 200
+        orders = np.arange(n_max + 1)
+        jx = spherical_jn_sequence(n_max, abs(x)) * np.where(
+            (x < 0) & (orders % 2 == 1), -1.0, 1.0)
+        exact = np.array([1.0, 1j, -1.0, -1j])[orders % 4]
+        want = complex(np.sum((2 * orders + 1) * exact * jx
+                              * legendre_p_sequence(n_max, cg)))
+        got = idn._plane_wave_sum(x, cg, n_max, half_coeff=False)
+        assert (got.real, got.imag) == (want.real, want.imag)
+
+
 class TestBeamIdentity:
     def test_zero_argument(self):
         r = bessel_beam_identity(0.0)
@@ -259,6 +276,22 @@ class TestReportContract:
         r = verify_stratton_integral(1, 2.0, 0.0, 1.0)
         if not math.isfinite(r.rel_err):
             assert r.to_json_dict()["rel_err"] is None
+
+
+class TestXwaveOracle:
+    @pytest.mark.parametrize("cos_theta,p", [
+        (0.5, FieldPoint(z=1.0, rho=0.0, t=0.0)),    # on the axis
+        (1.0, FieldPoint(z=1.0, rho=2.0, t=0.0)),    # cone closed, a = 0
+        (-1.0, FieldPoint(z=1.0, rho=2.0, t=3.0)),
+        (0.3, FieldPoint(z=-2.0, rho=0.0, t=5.0))])
+    def test_zero_a_is_exterior_and_checked(self, cos_theta, p):
+        # a = sin(theta) rho = 0 lies outside the support |b| < a: the
+        # closed form is 0 there and the oracle, 2 eps/(eps^2 + b^2) at
+        # a = 0, is extrapolated from eps0 = 0.4 |b| instead of raising
+        r = xwave_oracle_check(cos_theta, p)
+        _assert_ok(r)
+        assert r.lhs == 0.0 and r.rhs == 0.0
+        assert 0.0 < r.params["oracle_residual"] < 1e-2
 
 
 _SUITE_SIZES = {"hochstadt": 30, "orthogonality": 31, "planewave": 6,

@@ -503,9 +503,15 @@ class TestRegularizedFourier:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            regularized_j0_fourier(0.0, 0.5, 1e-3)
+            regularized_j0_fourier(-1e-300, 0.5, 1e-3)
         with pytest.raises(ValueError):
             regularized_j0_fourier(1.0, 0.5, 0.0)
+
+    @pytest.mark.parametrize("b,eps", [(0.5, 1e-3), (-2.0, 0.3), (0.0, 0.1)])
+    def test_zero_a(self, b, eps):
+        # J_0(0) = 1, so the damped integral is 2 eps/(eps^2 + b^2)
+        assert regularized_j0_fourier(0.0, b, eps) == pytest.approx(
+            2.0 * eps / (eps * eps + b * b), rel=1e-15)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("a,b,eps", [

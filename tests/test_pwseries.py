@@ -1,5 +1,6 @@
 """Partial-wave series representation against the direct evaluation."""
 import cmath
+import hashlib
 import math
 import time
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from beamkit import pwseries
 from beamkit.beamcore import BeamParams, FieldPoint, cauchy, constant, vacuum
 from beamkit.beamcore import eval_direct
+from beamkit.cli import main
 from beamkit.pwseries import (HARD_CAP, SeriesResult, eval_series,
                               truncation_order)
 from beamkit.specfun import legendre_p_sequence
@@ -221,6 +223,20 @@ def test_phases_exact_up_to_hard_cap(monkeypatch):
                 for n in range(HARD_CAP + 1))
     assert n_terms == HARD_CAP + 1
     assert value == exact
+
+
+def test_readme_rows_z_minus1_0_1_bit_for_bit(tmp_path):
+    # the README series map's rows z = -1, 0 and 1, as ``beamkit map``
+    # writes them: 123 points, the axis and the origin among them.  Any
+    # change to a j_n or P_n bit, a phase or a truncation order shows here
+    # as a new digest
+    out = tmp_path / "rows.csv"
+    assert main(["map", "--rep", "series", "--omega", "6",
+                 "--cos-theta", "0.8", "--z-min", "-1", "--z-max", "1",
+                 "--z-steps", "3", "--rho-min", "0", "--rho-max", "4",
+                 "--rho-steps", "41", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "a3c284ce1605368b43fa2b85f11c773cd4259ee78df8d447958ce09657776c0f")
 
 
 class TestLegendreMemo:

@@ -203,9 +203,10 @@ class TestSphericalBessel:
         assert type(spherical_jn(n, 2.5)) is float
 
     def test_array_below_n_makes_no_scalar_sweep(self, monkeypatch):
-        # every entry in [1e-8, n) goes through one array sweep; only
-        # entries under 1e-8 take the scalar table.  A count, unlike a
-        # time, pins the cost on any host
+        # entries in [1e-8, n) go through one array sweep and entries
+        # under 1e-8, exact zero among them, through one pass of the
+        # series term: no entry takes the scalar table.  A count, unlike
+        # a time, pins the cost on any host
         calls = []
 
         def counted(n_max, x):
@@ -213,13 +214,52 @@ class TestSphericalBessel:
             return spherical_jn_sequence(n_max, x)
 
         monkeypatch.setattr(specfun, "spherical_jn_sequence", counted)
-        for n in (1, 7, 60):
-            x = np.concatenate([np.geomspace(1e-8, n, 50, endpoint=False),
-                                [np.nextafter(float(n), 0.0)]])
+        for n in (0, 1, 7, 60):
+            x = np.concatenate([[0.0, -0.0, 1e-300, 1e-9],
+                                np.geomspace(1e-8, n + 1, 50),
+                                [np.nextafter(float(n), 0.0), 2.0 * n]])
             spherical_jn(n, x)
-            assert calls == []
-        spherical_jn(7, np.array([0.0, 1e-9, 1e-3, 3.0, 9.0]))
-        assert calls == [0.0, 1e-9]
+        assert calls == []
+
+    @pytest.mark.parametrize("x", [[], [0.0, 1e-9], [1e-8, 3.0, 6.5]])
+    def test_array_below_n_makes_no_upward_call(self, monkeypatch, x):
+        # the upward path runs only when some entry is at or above n; run
+        # on an empty selection it still took n Python steps (77 us at
+        # n = 20)
+        calls = []
+        upward = specfun._sph_sequence_upward
+
+        def counted(n_max, xs):
+            calls.append(xs)
+            return upward(n_max, xs)
+
+        monkeypatch.setattr(specfun, "_sph_sequence_upward", counted)
+        spherical_jn(7, np.array(x))
+        assert calls == []
+        spherical_jn(7, np.array(x + [7.0]))
+        assert len(calls) == 1 and calls[0].tolist() == [7.0]
+
+    @pytest.mark.parametrize("n_max", [0, 1, 40, 300])
+    def test_tiny_band_equals_the_per_step_loop(self, n_max):
+        # below 1e-8, j_n is x^n/(2n+1)!!, flushed under 1e-300.  The
+        # reference flushes each term as it goes; one flush at the end
+        # must give the same bits, for floats, arrays, zero and -0.0
+        def loop(x):
+            vals, term = [1.0], 1.0
+            for n in range(1, n_max + 1):
+                term = term * x / (2 * n + 1)
+                if term < UNDERFLOW_FLUSH:
+                    term = 0.0
+                vals.append(term)
+            return np.array(vals)
+
+        xs = [0.0, -0.0, 5e-324, 1e-310, 1e-300, 1e-150, 3e-30, 1e-9,
+              np.nextafter(1e-8, 0.0)]
+        for x in xs:
+            assert spherical_jn_sequence(n_max, x).tobytes() == \
+                loop(x).tobytes()
+        assert spherical_jn(n_max, np.array(xs)).tobytes() == \
+            np.array([loop(x)[n_max] for x in xs]).tobytes()
 
     def test_array_sweep_in_blocks_is_one_sweep(self):
         # at n = 1000 a block holds 1793 columns, so 4000 entries below n
