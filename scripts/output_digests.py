@@ -1,9 +1,10 @@
 """Print the sha256 of the outputs a byte-identical change must keep.
 
-Four digests, one a line: the README field map (omega 6, cos_theta 0.8,
+One digest a line: the README field map (omega 6, cos_theta 0.8,
 z in [-3, 3] at 61 steps, rho in [0, 4] at 41) as ``beamkit map`` writes
 its CSV for each representation, then the JSON report file of
-``beamkit verify --suite all``.  Everything runs through ``cli.main`` in
+``beamkit verify --suite all``, then that file for each suite on its own,
+so a moved byte names its suite.  Everything runs through ``cli.main`` in
 this one process, into a temporary directory that is removed afterwards.
 Run it on two checkouts and compare the lines:
 
@@ -15,6 +16,7 @@ import tempfile
 from pathlib import Path
 
 from beamkit.cli import main as beamkit_main
+from beamkit.identities import SUITE_NAMES
 
 README_GRID = ["--omega", "6", "--cos-theta", "0.8",
                "--z-min", "-3", "--z-max", "3", "--z-steps", "61",
@@ -38,6 +40,10 @@ def main():
         digest = _digest(["verify", "--suite", "all"],
                          Path(tmp) / "reports.json")
         print(f"verify all   {digest}")
+        for suite in SUITE_NAMES:
+            digest = _digest(["verify", "--suite", suite],
+                             Path(tmp) / f"{suite}.json")
+            print(f"verify {suite:13s} {digest}")
     return 0
 
 

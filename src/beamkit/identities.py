@@ -502,6 +502,11 @@ def triple_sum_cesaro_check(a: ConeAngles, n_max: int = 4000) -> IdentityReport:
     the closed form.
     """
     avg = triple_legendre_sum(a, n_max, mode="cesaro").value.real
+    return _triple_sum_report(a, avg, n_max)
+
+
+def _triple_sum_report(a: ConeAngles, avg, n_max: int) -> IdentityReport:
+    # one Cesaro mean against the closed form, for a check or a suite row
     params = {"cos_theta": a.cos_theta, "cos_eta": a.cos_eta,
               "cos_gamma": a.cos_gamma, "n_max": int(n_max)}
     cf = triple_sum_closed_form(a)
@@ -588,8 +593,12 @@ def _sample_triples(seed: int, n_interior: int, n_exterior: int,
 
 
 def suite_triplesum(seed: int = 4915, n_max: int = 4000) -> list:
+    # one batch call: a single array sweep of P_n over all 120 cosines
     interior, exterior = _sample_triples(seed, 20, 20)
-    return [triple_sum_cesaro_check(a, n_max) for a in interior + exterior]
+    triples = interior + exterior
+    avgs = triple_legendre_sum(triples, n_max, mode="cesaro").value.real
+    return [_triple_sum_report(a, avg, n_max)
+            for a, avg in zip(triples, avgs)]
 
 
 def _sample_xwave_points(seed: int, n_interior: int, n_exterior: int):

@@ -43,6 +43,11 @@ class SeriesResult:
     consecutive terms, so parity zeros cannot fake convergence); it is an
     empirical indicator, not a bound.  ``converged`` drops to False only
     when the tail never fell under the requested tolerance by the hard cap.
+
+    ``wavepacket.triple_legendre_sum`` on a sequence of triples returns one
+    result for the whole batch: ``value`` a complex array and
+    ``tail_estimate`` a float array, one entry per triple, and ``n_terms``
+    the one int every triple shares.
     """
 
     value: complex

@@ -10,7 +10,12 @@ arrays, orders along axis 0.  ``legendre_p``, ``legendre_p_sequence`` and
 ``spherical_jn`` also take an array x.  A scalar x recurs in Python floats:
 on one abscissa that is an order of magnitude faster than numpy rows (P_0
 .. P_70: 20-22 us vs 280-320 us on a 2-vCPU Xeon, numpy 2.4), and the
-partial-wave series route calls it per point.  The Miller sweep for j_n
+partial-wave series route calls it per point.  An array x takes the same
+recurrence once for all its entries, five ufunc calls a step: the
+triple-Legendre batch sweeps its 120 cosines to n = 4000 in one call
+(29-33 ms, against 125-133 ms for one Python-float sweep per cosine).
+The final clamp to [-1, 1] is ``np.minimum`` of ``np.maximum``,
+``np.clip`` bit for bit at about half its cost.  The Miller sweep for j_n
 recurs in Python floats too: it keeps its entries in a list and rescales
 them as an array once it ends (j_0 .. j_60 at x = 20: 21-35 us, where
 storing each entry into an array took 37-41 us).  An array x below n
@@ -25,6 +30,7 @@ route calls it per point.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -56,9 +62,11 @@ def _clamp_unit(x):
             raise ValueError(f"legendre argument out of range: x={x!r}")
         return min(1.0, max(-1.0, x))
     x = np.asarray(x, dtype=float)
-    if not np.all(np.abs(x) <= 1.0 + _DOMAIN_SLACK):
+    if not (np.abs(x) <= 1.0 + _DOMAIN_SLACK).all():
         raise ValueError("legendre argument out of range in array x")
-    return np.clip(x, -1.0, 1.0)
+    # minimum of maximum is np.clip bit for bit, at under half its cost
+    x = np.maximum(x, -1.0)
+    return np.minimum(x, 1.0, out=x)
 
 
 def legendre_p(n: int, x):
@@ -76,8 +84,13 @@ def legendre_p(n: int, x):
 def legendre_p_sequence(n_max: int, x) -> np.ndarray:
     """All of P_0(x) .. P_{n_max}(x) in one upward sweep, x scalar or array.
 
-    A float64 array, orders along axis 0.
+    A float64 array, orders along axis 0.  ``n_max`` is an int: a bool or
+    a float is refused, a numpy int accepted.
     """
+    # an exact int passes on the first test, which costs nothing per call
+    if type(n_max) is not int and (isinstance(n_max, bool) or not
+                                   isinstance(n_max, numbers.Integral)):
+        raise ValueError(f"Legendre order must be an int: {n_max!r}")
     if n_max < 0:
         raise ValueError(f"negative degree: n_max={n_max}")
     x = _clamp_unit(x)
@@ -91,7 +104,7 @@ def legendre_p_sequence(n_max: int, x) -> np.ndarray:
         out.append(pc)
         k += 1.0
     out = np.array(out)
-    return np.clip(out, -1.0, 1.0, out=out)
+    return np.minimum(np.maximum(out, -1.0, out=out), 1.0, out=out)
 
 
 # ----------------------------------------------------------------------------

@@ -297,14 +297,22 @@ class TestVerify:
          "dc1127c483a3480c23299a257dfcb908c6be048b7635818667fff2f70c203b28"),
         ("hochstadt",
          "a24daaac650ce1aabd3fd34e4998ee9ea9a5a9927c5dfdd1265acd7160fc32e7"),
+        ("triplesum",
+         "b9c4b22913e7c9f97ff242981d3bbacf6b92696f570ffe8b005122f1970411b5"),
+        ("orthogonality",
+         "d8ece7b188448b2e14172701ca91541822028785b76060d64ab59cbcee5c78e5"),
+        ("stratton",
+         "a3767d9e2754139f08503ff9d6984960059910f7d375ae130a89106062ad2ce6"),
     ])
     def test_jn_integrand_suites_bit_for_bit(self, suite, digest, tmp_path,
                                              capsys):
         # the suites whose integrands call spherical_jn on arrays of
-        # quadrature nodes (jnnorm, ftpair) and those that sum j_n tables
-        # against i^n or P_n (planewave, beamidentity, hochstadt), as
-        # ``beamkit verify`` writes them.  Any change to a j_n bit, a
-        # phase, a panel or an error claim shows as a new digest
+        # quadrature nodes (jnnorm, ftpair), those that sum j_n tables
+        # against i^n or P_n (planewave, beamidentity, hochstadt), the
+        # triple-Legendre batch (triplesum) and the P_n quadratures
+        # (orthogonality, stratton), as ``beamkit verify`` writes them.
+        # Any change to a j_n or P_n bit, a phase, a panel or an error
+        # claim shows as a new digest
         out = tmp_path / "reports.json"
         assert main(["verify", "--suite", suite, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 import beamkit.identities as idn
+import beamkit.wavepacket as wp
 from beamkit.beamcore import FieldPoint
 from beamkit.identities import (SUITE_NAMES, bessel_beam_identity,
                                 delta_kernel_test, hochstadt_sum_check, jn_norm_integral,
                                 legendre_ft_pair, legendre_orthogonality,
                                 plane_wave_expansion_check,
                                 plane_wave_negative_control, run_suite,
+                                triple_sum_cesaro_check,
                                 verify_stratton_integral, xwave_oracle_check)
 from beamkit.specfun import legendre_p_sequence, spherical_jn_sequence
 from beamkit.wavepacket import ConeAngles
@@ -325,6 +327,24 @@ class TestSuites:
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError):
             run_suite("nonsense")
+
+    def test_triplesum_batch_equals_the_single_checks(self, monkeypatch):
+        # one batch call, one array sweep over all 120 cosines, and the
+        # same reports as one triple_sum_cesaro_check per triple
+        calls = []
+
+        def counting(n_max, x):
+            calls.append((n_max, np.shape(x)))
+            return legendre_p_sequence(n_max, x)
+
+        monkeypatch.setattr(wp, "legendre_p_sequence", counting)
+        batch = [r.to_json_dict() for r in run_suite("triplesum")]
+        assert calls == [(4000, (40, 3))]
+        interior, exterior = idn._sample_triples(4915, 20, 20)
+        singles = [triple_sum_cesaro_check(a).to_json_dict()
+                   for a in interior + exterior]
+        assert calls[1:] == [(4000, ())] * 120  # three scalar sweeps each
+        assert batch == singles
 
     def test_deterministic_across_runs(self):
         a = [r.to_json_dict() for r in run_suite("triplesum")]

@@ -81,3 +81,28 @@ def test_single_points_call_every_route_layer(calls):
         beamkit.eval_series(b, p)
         beamkit.eval_integral_rep(b, p)
     assert [name for name, n in calls.items() if not n] == []
+
+
+def test_verify_triplesum_feeds_the_tracer(monkeypatch, tmp_path):
+    # perfbench wraps triple_legendre_sum, rebinding every beamkit module
+    # attribute that refers to it, reads ``out.n_terms`` from each call
+    # and requires a call on a traced verify
+    from beamkit import wavepacket
+    orig = wavepacket.triple_legendre_sum
+    returns = []
+
+    def traced(*args, **kwargs):
+        out = orig(*args, **kwargs)
+        returns.append(out)
+        return out
+
+    for m in [m for key, m in list(sys.modules.items())
+              if key == "beamkit" or key.startswith("beamkit.")]:
+        for key, val in list(vars(m).items()):
+            if val is orig:
+                monkeypatch.setattr(m, key, traced)
+    rc = cli.main(["verify", "--suite", "triplesum", "--out",
+                   str(tmp_path / "reports.json")])
+    assert rc == 0
+    assert returns
+    assert all(type(out.n_terms) is int for out in returns)

@@ -5,6 +5,7 @@ series for j_n, exact rational Rodrigues coefficients for P_n) and are
 hard-coded here so the tests stay dependency-free.
 """
 import math
+import re
 
 import numpy as np
 import pytest
@@ -62,6 +63,41 @@ class TestLegendre:
             got = legendre_p_sequence(n, xs)
             assert got.shape == (n + 1, 4, 5)
             assert got.tobytes() == by_ints(n, xs).tobytes()
+        # the triple-sum batch's shape and order, and the edges: signed
+        # zeros, the endpoints, and a point inside the slack, clamped
+        xs = rng.uniform(-1, 1, (40, 3))
+        got = legendre_p_sequence(4000, xs)
+        assert got.shape == (4001, 40, 3)
+        assert got.tobytes() == by_ints(4000, xs).tobytes()
+        edges = np.array([0.0, -0.0, 1.0, -1.0, 1.0 + 1e-13, -1.0 - 1e-13])
+        for n in (0, 1, 2, 9, 4000):
+            got = legendre_p_sequence(n, edges)
+            assert got.tobytes() == \
+                by_ints(n, np.clip(edges, -1.0, 1.0)).tobytes(), n
+
+    def test_clamp_keeps_signed_zeros_and_the_input(self):
+        xs = np.array([-0.0, 0.0, 1.0 + 1e-13, -1.0 - 1e-13, 0.25])
+        before = xs.tobytes()
+        got = legendre_p_sequence(1, xs)[1]
+        assert xs.tobytes() == before
+        assert got.tobytes() == np.array(
+            [-0.0, 0.0, 1.0, -1.0, 0.25]).tobytes()
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, False, np.float64(3.0)])
+    def test_non_integer_order_refused(self, n):
+        # refused up front with the value named, not a TypeError from a
+        # slice deep inside the sweep
+        for call in (lambda: legendre_p_sequence(n, 0.3),
+                     lambda: legendre_p_sequence(n, np.array([0.3, 0.4])),
+                     lambda: legendre_p(n, 0.3)):
+            with pytest.raises(ValueError, match=re.escape(repr(n))):
+                call()
+
+    @pytest.mark.parametrize("n", [np.int64(4), np.int32(4), np.uint8(4)])
+    def test_numpy_int_order_accepted(self, n):
+        assert legendre_p_sequence(n, 0.3).tobytes() == \
+            legendre_p_sequence(4, 0.3).tobytes()
+        assert legendre_p(n, 0.3) == legendre_p(4, 0.3)
 
     def test_sequence_matches_elementwise(self):
         seq = legendre_p_sequence(20, 0.3)

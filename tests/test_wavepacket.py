@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import beamkit.wavepacket as wp
 from beamkit.beamcore import FieldPoint
+from beamkit.specfun import legendre_p_sequence
 from beamkit.wavepacket import (ConeAngles, support_predicate,
                                 triple_legendre_sum, triple_sum_closed_form,
                                 wavepacket_series, xwave_closed_form)
@@ -176,6 +178,83 @@ class TestTripleSum:
             assert abs(res.value - triple_sum_closed_form(a)) < 5e-2
         else:
             assert abs(res.value) < 5e-2
+
+
+class TestTripleSumBatch:
+    # triples that stress the sort and the array sweep: permuted orders,
+    # signed zeros (a -0.0/0.0 tie keeps its input order), the endpoints
+    # and repeated cosines
+    TRIPLES = [(0.3, -0.5, 0.1), (-0.5, 0.3, 0.1), (0.1, 0.3, -0.5),
+               (0.0, -0.0, 0.2), (-0.0, 0.0, 0.2), (-0.0, -0.0, -0.0),
+               (1.0, -1.0, 0.4), (-1.0, 1.0, -1.0), (1.0, 1.0, 1.0),
+               (0.7, 0.7, 0.7), (0.25, -0.6, 0.25), (0.2, -0.3, 0.4)]
+
+    @pytest.mark.parametrize("mode", ["raw", "cesaro", "double_average"])
+    def test_equals_single_triples_bitwise(self, mode):
+        triples = [_angles(*t) for t in self.TRIPLES]
+        got = triple_legendre_sum(triples, n_max=700, mode=mode)
+        assert got.n_terms == 701 and type(got.n_terms) is int
+        assert got.value.dtype == complex and got.value.shape == (12,)
+        assert got.tail_estimate.dtype == float
+        singles = [triple_legendre_sum(a, n_max=700, mode=mode)
+                   for a in triples]
+        assert got.value.tobytes() == np.array(
+            [r.value for r in singles]).tobytes()
+        assert got.tail_estimate.tobytes() == np.array(
+            [r.tail_estimate for r in singles]).tobytes()
+
+    @pytest.mark.parametrize("mode", ["raw", "cesaro", "double_average"])
+    def test_batch_of_one(self, mode):
+        a = _angles(0.2, -0.3, 0.4)
+        one = triple_legendre_sum((a,), n_max=300, mode=mode)
+        single = triple_legendre_sum(a, n_max=300, mode=mode)
+        assert one.value.shape == (1,)
+        assert one.value.tobytes() == np.array([single.value]).tobytes()
+        assert one.tail_estimate.tobytes() == \
+            np.array([single.tail_estimate]).tobytes()
+        assert (type(single.value), type(single.tail_estimate)) == \
+            (complex, float)
+
+    @pytest.fixture
+    def legendre_calls(self, monkeypatch):
+        calls = []
+
+        def counting(n_max, x):
+            calls.append((n_max, np.shape(x)))
+            return legendre_p_sequence(n_max, x)
+
+        monkeypatch.setattr(wp, "legendre_p_sequence", counting)
+        return calls
+
+    def test_one_array_sweep_for_a_batch(self, legendre_calls):
+        triples = [_angles(*t) for t in self.TRIPLES]
+        triple_legendre_sum(triples, n_max=50)
+        assert legendre_calls == [(50, (12, 3))]
+
+    def test_three_scalar_sweeps_for_one_triple(self, legendre_calls):
+        triple_legendre_sum(_angles(0.2, -0.3, 0.4), n_max=50)
+        assert legendre_calls == [(50, ()), (50, ()), (50, ())]
+
+    @pytest.mark.parametrize("args,match", [
+        (([], 10), "no triples"),
+        (([_angles(0.1, 0.2, 0.3), _angles(0.0, 0.0, 1.5)], 10),
+         r"triple 1\b"),
+        (([_angles(0.1, 0.2, 0.3)], 0), "n_max"),
+        ((_angles(0.1, 0.2, 0.3), 2.5), "2.5"),
+        ((_angles(0.1, 0.2, 0.3), True), "True"),
+        (([_angles(0.1, 0.2, 0.3)], 10, "nonsense"), "nonsense"),
+    ])
+    def test_refused_before_any_legendre_call(self, legendre_calls, args,
+                                              match):
+        with pytest.raises(ValueError, match=match):
+            triple_legendre_sum(*args)
+        assert legendre_calls == []
+
+    def test_numpy_int_n_max_accepted(self):
+        a = _angles(0.2, -0.3, 0.4)
+        got = triple_legendre_sum(a, np.int64(40))
+        assert got.value == triple_legendre_sum(a, 40).value
+        assert got.n_terms == 41 and type(got.n_terms) is int
 
 
 class TestWavepacketSeries:
