@@ -6,6 +6,9 @@ its CSV for each representation, then the JSON report file of
 ``beamkit verify --suite all``, then that file for each suite on its own,
 so a moved byte names its suite.  Everything runs through ``cli.main`` in
 this one process, into a temporary directory that is removed afterwards.
+The last two lines give the README grid's total work per route, series
+``n_terms`` and integral ``n_evals``: counts of the layout that any host
+can compare, also where a change moves output bytes on purpose.
 Run it on two checkouts and compare the lines:
 
     PYTHONPATH=src python scripts/output_digests.py
@@ -15,6 +18,9 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
+from beamkit import BeamParams, FieldPoint, eval_integral_rep, eval_series
 from beamkit.cli import main as beamkit_main
 from beamkit.identities import SUITE_NAMES
 
@@ -28,6 +34,18 @@ def _digest(argv, out: Path) -> str:
     if rc != 0:
         raise SystemExit(f"beamkit {' '.join(argv)} exited {rc}")
     return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+def _grid_work():
+    """(series n_terms, integral n_evals) summed over the README grid."""
+    beam = BeamParams(omega=6.0, cos_theta=0.8)
+    terms = evals = 0
+    for z in np.linspace(-3.0, 3.0, 61):
+        for rho in np.linspace(0.0, 4.0, 41):
+            p = FieldPoint(z=float(z), rho=float(rho), t=0.0)
+            terms += eval_series(beam, p).n_terms
+            evals += eval_integral_rep(beam, p).n_evals
+    return terms, evals
 
 
 def main():
@@ -44,6 +62,9 @@ def main():
             digest = _digest(["verify", "--suite", suite],
                              Path(tmp) / f"{suite}.json")
             print(f"verify {suite:13s} {digest}")
+    terms, evals = _grid_work()
+    print(f"work series   n_terms {terms}")
+    print(f"work integral n_evals {evals}")
     return 0
 
 

@@ -16,8 +16,9 @@ number round-trips exactly; CSV field maps carry the fixed header
 grid serially and reads no thread-count variable: every route holds the
 interpreter lock, and on the README grid with 2 vCPUs a 2-thread pool made
 the direct and series maps slower and left the integral map within noise.
-Serially, as process wall on a 2-vCPU Xeon, the README grid takes
-0.29-0.34 s direct, 0.56-0.69 s series and 1.11-1.46 s integral.
+Serially, as process wall on a 2-vCPU Xeon (six runs each), the README
+grid takes 0.20-0.31 s direct, 0.33-0.58 s series and 0.61-1.01 s
+integral.
 
 ``main`` builds the parser on its first call and keeps it for the life of
 the process.  Building it costs 1.0-1.7 ms, more than the direct route

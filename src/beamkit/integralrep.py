@@ -19,16 +19,18 @@ rho^2 / (r (r + |z|)).  Where 2 * delta < 1 the beat 2 pi / delta is more
 than twice the period, so the engine's half-period cells do not alternate
 and its accelerator stalls.  Every point with delta < 3/4 takes
 ``oscquad._segment_and_rays`` instead (the steepest-descent idea of
-Huybrechs and Vandewalle, SIAM J. Numer. Anal. 44, 2006): K15 panels on
-[-L, L], L = max(mu, lambda_s) + pi past the real saddle
-lambda_s = |m| + |cos eta| beta / sin eta, and the two parts
-e^{+-iR} / (2iR) of each tail up and down vertical rays, where they decay
-like e^{-(1 +- cos eta) s} and the panels widen as the integrand falls.
-This module gives it only L, j_0 of the chord on the segment and the
-parts e^{+-iq - rate s} / (2R) on the rays.  The cost grows like
-lambda_s, about 1/rho; past a node budget the route reports
-converged=False without evaluating.  Points with delta >= 3/4 keep the
-engine, where the rays save little.
+Huybrechs and Vandewalle, SIAM J. Numer. Anal. 44, 2006).  j_0 of the
+chord is even in u = lambda - m, so the integral is
+e^{i m cos eta} (Z + conj(Z)) with Z over the half line u >= 0 alone:
+K15 panels on [0, a], a = |cos eta| beta / sin eta + pi just past both
+real saddles u = +-|cos eta| beta / sin eta, and the two parts
+e^{+-iR} / (2iR) of the one tail up and down vertical rays, where they
+decay like e^{-(1 +- cos eta) s} and the panels widen as the integrand
+falls.  This module gives it only a, j_0 of the chord on the segment and
+the up part e^{iq - rate s} / (2R) on the rays.  The cost grows like a,
+about 1/rho; past a node budget the route reports converged=False without
+evaluating.  Points with delta >= 3/4 keep the engine, where the rays save
+little.
 
 On the axis (|cos eta| = 1) the symmetric limit of the lambda-integral is
 exactly half the field: j_n under the integral is the Fourier transform of
@@ -87,24 +89,25 @@ def _rep_integral(mu: float, cos_theta: float, cos_eta: float, delta: float,
     if delta < _RAY_BAND:
         # the beat 2 pi / delta is wider than the period 2 pi: below 1/2
         # the engine's half-period cells would not alternate, and up to 3/4
-        # the rays cost less than the engine.  Both real saddles, where
-        # d(c*lambda -+ R)/dlambda = 0, lie inside [-L, L]; past L,
-        # j_0(R) = (e^{iR} - e^{-iR}) / (2iR), and a part on its ray is
-        # e^{i sign q - rate s} / (2R), with q = R - z = beta^2 / (R + z)
-        # free of cancellation
+        # the rays cost less than the engine.  j_0(R) is even in
+        # u = lambda - m, so the half line u >= 0 is integrated: both real
+        # saddles u = +-cos_eta beta / sin_eta, where
+        # d(c*u -+ R)/du = 0, lie inside [-a, a]; past a,
+        # j_0(R) = (e^{iR} - e^{-iR}) / (2iR), and its up part is
+        # e^{iq - rate s} / (2R) on the ray, with q = R - z =
+        # beta^2 / (R + z) free of cancellation
         sin_eta = math.sqrt(delta * (2.0 - delta))
-        big_l = max(mu, abs(m) + abs(cos_eta) * math.sqrt(beta2) / sin_eta)
+        a = abs(cos_eta) * math.sqrt(beta2) / sin_eta + math.pi
 
-        def ray_part(z, isign, rate_s):
+        def ray_part(z, rate_s):
             r = np.sqrt(z * z + beta2)
-            fx = np.exp(isign * (beta2 / (r + z)) - rate_s)
+            fx = np.exp(1j * (beta2 / (r + z)) - rate_s)
             fx /= 2.0 * r
             return fx
 
         res = _segment_and_rays(
-            lambda u: _chord_j0(u, beta2), ray_part, big_l + math.pi, m,
-            cos_eta, delta, beta2, 1.0, tol * np.pi,
-            max_cell_pairs * _RAY_NODES_PER_PAIR)
+            lambda u: _chord_j0(u, beta2), ray_part, a, m, cos_eta, delta,
+            beta2, 1.0, tol * np.pi, max_cell_pairs * _RAY_NODES_PER_PAIR)
     else:
         # the integrand carries phases (1 +- cos_eta)*lambda at large
         # |lambda|; at delta >= 3/4 the slower one, 2 pi / delta, is under

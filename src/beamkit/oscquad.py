@@ -20,12 +20,15 @@ Three layers:
 Integrands are called with numpy arrays of abscissae and must evaluate
 elementwise.  ``_k15_nodes`` is the one place that lays out Gauss-Kronrod
 nodes.  ``_segment_and_rays`` is the one quadrature that takes a line
-integral with a carrier ``exp(i*c*x)``, |c| < 1, on equal K15 panels over
-[-L, L] and past L up and down vertical steepest-descent rays laid out by
-``_ray_edges`` (Huybrechs and Vandewalle, SIAM J. Numer. Anal. 44, 2006).
-Its two callers, the integral route and the Fourier-pair check, take it
-where a slow beat would stall the cells, and pass only their integrand on
-the segment, its parts on the rays, L and a chord for the ray layout.
+integral of a real integrand of known parity with a carrier
+``exp(i*c*x)``, |c| < 1.  It integrates only the half line past the
+centre of symmetry, on equal K15 panels over [0, a] and past a up and
+down two vertical steepest-descent rays laid out by ``_ray_edges``
+(Huybrechs and Vandewalle, SIAM J. Numer. Anal. 44, 2006), and gets the
+other half as the mirror image times the parity.  Its two callers, the
+integral route and the Fourier-pair check, take it where a slow beat would
+stall the cells, and pass only their integrand on the segment, its up
+part on the rays, a, the parity and a chord for the ray layout.
 In ``integrate_finite`` and the cell loop each quadrature step makes one
 integrand call: the first panel or both children of a bisection (through
 ``_k15``), or a batch of whole cell pairs, both sides of each, up to about
@@ -127,6 +130,9 @@ _WG7 = np.concatenate([_WG[:3], [_WG[3]], _WG[2::-1]])
 # K15 weights and K15 - G7 weights, as the columns of one matrix
 _WKD = np.column_stack([_WK15, _WK15])
 _WKD[1::2, 1] -= _WG7
+# the K15 nodes of [0, 1], then the offsets of the panels of a chunk
+_GRID = np.concatenate([0.5 * (1.0 + _NODES),
+                        np.arange(_CHUNK_NODES // 15)])
 
 
 def _k15_nodes(a, b):
@@ -203,105 +209,110 @@ def _ray_edges(a: float, beta2: float, rate: float) -> list:
         edges.append(s)
 
 
-def _segment_and_rays(f: Callable, ray_f: Callable, big_l: float, m: float,
+def _segment_and_rays(f: Callable, ray_f: Callable, a: float, m: float,
                       c: float, delta: float, beta2: float, parity: float,
                       tol: float, budget: int) -> QuadratureResult:
-    """Int f(lambda - m) e^{i c lambda} dlambda over the line, for
-    |c| = 1 - delta < 1 (delta given without cancellation).
+    """Int f(lambda - m) e^{i c lambda} dlambda over the line, for a real f
+    of parity p (f(-u) = p f(u)) and |c| = 1 - delta < 1 (delta given
+    without cancellation).
 
-    Equal K15 panels of half-width ``_PANEL_WH / (1 + |c|)`` cover [-L, L];
-    f is real and called with flat arrays of u = lambda - m, which it may
-    overwrite.  Past L each part e^{i(c lambda +- R)} of the integrand goes
-    up or down a vertical ray z = a +- i*s in u, laid out by ``_ray_edges``
-    for R = sqrt(z^2 + beta2), where it decays like e^{-(1 +- c) s}.  The
-    right rays start at a = L - m; the left ones, at L + m, carry the right
-    tail at -m and -c, times ``parity``.  ``ray_f(z, isign, rate_s)`` gives
-    a part on (panels, 15) tables of z, rate*s and isign = i*sign, without
-    its phase e^{i c m} e^{i sign rate a}.  The error claim is the K15 - G7
-    difference of every panel plus eps times the absolute sums, each node
-    weighted by the size of its phase.  A layout of more than ``budget``
-    nodes is refused before any evaluation, with n_evals = 0.
+    In u = lambda - m the integral is e^{i c m} (Z + p conj(Z)) with
+    Z = Int_0^inf f(u) e^{i c u} du, so only the half line u >= 0 is
+    integrated.  Equal K15 panels of half-width about
+    ``_PANEL_WH / (1 + |c|)`` cover [0, a]; f is called with flat arrays
+    of u, which it may overwrite.  Past a each part e^{i(c u +- R)} of the
+    integrand goes up or down the vertical ray z = a +- i*s, laid out by
+    ``_ray_edges`` for R = sqrt(z^2 + beta2), where it decays like
+    e^{-(1 +- c) s}.  ``ray_f(z, rate_s)`` gives the up part, times i
+    from dz = i ds and without its phase e^{i c a} e^{i a}, on a
+    (panels, 15) table of z = a + i*s and the table of rate*s; the down
+    part at a - i*s is its conjugate at the same rate.  The error claim
+    is twice that of Z: the K15 - G7 difference of every panel plus eps
+    times the absolute sums, each node weighted by the size of its phase.
+    A layout of more than ``budget`` nodes is refused before any
+    evaluation, with n_evals = 0.
     """
     def unconverged():
         return QuadratureResult(value=0j, error_estimate=_OFLOW, n_evals=0,
                                 converged=False)
 
-    n_seg = big_l * (1.0 + abs(c)) / _PANEL_WH
+    n_seg = a * (1.0 + abs(c)) / (2.0 * _PANEL_WH)
     if 15.0 * n_seg > budget:
         return unconverged()
     n_seg = math.ceil(n_seg)
-    # rays (a, +1 up / -1 down, rate), rate = 1 + sign*c without
-    # cancellation; the left tail is the right one under lambda -> -lambda,
-    # m -> -m, c -> -c, which leaves c*m alone
+    # the right tail's parts: up at rate 1 + c, down at 1 - c, without
+    # cancellation
     one_minus, one_plus = ((delta, 2.0 - delta) if c > 0
                            else (2.0 - delta, delta))
-    rays = ((big_l - m, 1.0, one_plus), (big_l - m, -1.0, one_minus),
-            (big_l + m, 1.0, one_minus), (big_l + m, -1.0, one_plus))
-    lo, hi, counts = [], [], []
-    for a, _, rate in rays:
-        edges = _ray_edges(a, beta2, rate)
-        lo += edges[:-1]
-        hi += edges[1:]
-        counts.append(len(edges) - 1)
-    n_evals = 15 * (n_seg + len(lo))
+    up = _ray_edges(a, beta2, one_plus)
+    down = _ray_edges(a, beta2, one_minus)
+    n_evals = 15 * (n_seg + len(up) + len(down) - 2)
     if n_evals > budget:
         return unconverged()
 
     # e^{i c u} with c = sign*(1 - delta) taken apart: a rounded c would
-    # shift the slow phase (c -+ 1)*lambda by about eps*L, alike over the
-    # whole segment
+    # shift the slow phase (c -+ 1)*u by about eps*a, alike over the whole
+    # segment
     sign_c = math.copysign(1.0, c)
 
     def carrier(u, exp=cmath.exp):
         return exp((1j * sign_c) * u) * exp((-1j * sign_c * delta) * u)
 
-    # the segment in u = lambda - m, in chunks that all share one layout:
-    # a node is the chunk's start plus a fixed offset, rounded once, and
-    # its phase is the start's times the offset's
-    width = 2.0 * big_l / n_seg
+    # the segment, in chunks that all share one layout: a node is the
+    # chunk's start plus a fixed offset, rounded once, and its phase is the
+    # start's times the offset's.  One carrier call takes the phases of
+    # the K15 nodes x0 of [0, width] and of the offsets; those of x0 fold
+    # into the columns K15 and K15 - G7 of the weights, whose real and
+    # imaginary parts make the (15, 4) real matrix w_parts
+    width = a / n_seg
     chunk = _CHUNK_NODES // 15
     step = min(chunk, n_seg)
-    (half,), (x0,) = _k15_nodes([0.0], [width])
-    w = half * carrier(x0, np.exp)
-    wk = w * _WKD[:, 0]
-    wd = w * _WKD[:, 1]
-    w_parts = np.array([wk.real, wk.imag, wd.real, wd.imag]).T
-    w_abs = half * _WK15
-    offsets = width * np.arange(step)
-    table = carrier(offsets, np.exp)
-    local = offsets[:, None] + x0
+    grid = width * _GRID[:15 + step]
+    phase = carrier(grid, np.exp)
+    w_parts = ((0.5 * width * phase[:15])[:, None] * _WKD).view(float)
+    w_abs = 0.5 * width * _WK15
+    local = grid[15:, None] + grid[:15]
+    table = phase[15:]
+    # a node at u carries an argument rounded by eps*|lambda|, and
+    # |lambda| <= |m| + u on either half
+    weight = grid[15:] + (1.0 + abs(m) + width)
     value, err, absum = 0j, 0.0, 0.0
     for i in range(0, n_seg, step):
         n = min(step, n_seg - i)
-        u0 = (-big_l - m) + width * i
+        u0 = width * i
         fx = f((u0 + local[:n]).ravel()).reshape(n, 15)
-        sums = fx @ w_parts
-        value += carrier(u0) * complex(
-            table[:n] @ (sums[:, 0] + 1j * sums[:, 1]))
-        err += float(np.sum(np.hypot(sums[:, 2], sums[:, 3])))
-        # a node at lambda carries an argument rounded by eps*|lambda|
+        sums = (fx @ w_parts).view(complex)
+        value += carrier(u0) * complex(table[:n] @ sums[:, 0])
+        err += float(np.abs(sums[:, 1]).sum())
         np.abs(fx, out=fx)
-        absum += float((1.0 + abs(m) + width + np.abs(u0 + offsets[:n]))
-                       @ (fx @ w_abs))
+        absum += float((u0 + weight[:n]) @ (fx @ w_abs))
 
-    # every ray panel, with its ray's a, sign, rate, phase e^{i sign rate a}
-    # (times parity on the left) and rounding weight 1 + rate*a
-    per_ray = np.array([(a, sign, rate, cmath.exp(1j * sign * rate * a),
-                         1.0 + rate * a) for a, sign, rate in rays])
-    per_ray[2:, 3] *= parity
-    per_panel = np.repeat(per_ray, counts, axis=0)
-    lo, hi = np.array(lo), np.array(hi)
-    for j in range(0, lo.size, chunk):
-        a, sign, rate, phase, weight = per_panel[j:j + chunk].T
+    # both rays as rows of one table of z = a + i*s, the up ray's first:
+    # the down ray is mirrored, as its part at a - i*s is the conjugate of
+    # the up part at a + i*s and the same rate.  Each ray gets its phase
+    # e^{i sign rate a} and its rounding weight 1 + rate*a
+    k = len(up) - 1
+    lo, hi = up[:-1] + down[:-1], up[1:] + down[1:]
+    rate = np.full((len(lo), 1), one_minus)
+    rate[:k] = one_plus
+    up_sum, down_sum, up_abs, down_abs = 0j, 0j, 0.0, 0.0
+    for j in range(0, len(lo), chunk):
         h, s = _k15_nodes(lo[j:j + chunk], hi[j:j + chunk])
-        isign = (1j * sign)[:, None]
-        fx = ray_f(a[:, None] + isign * s, isign, rate.real[:, None] * s)
-        kd = fx @ _WKD
-        value += complex((h * phase) @ kd[:, 0])
-        err += float(h @ np.abs(kd[:, 1]))
-        absum += float((weight.real * h) @ (np.abs(fx) @ _WK15))
-    value *= carrier(m)
-    err += _EPMACH * absum
+        fx = ray_f(a + 1j * s, rate[j:j + chunk] * s)
+        kd = h[:, None] * (fx @ _WKD)
+        fa = h * (np.abs(fx) @ _WK15)
+        t = min(max(k - j, 0), len(h))
+        up_sum += complex(kd[:t, 0].sum())
+        down_sum += complex(kd[t:, 0].sum())
+        up_abs += float(fa[:t].sum())
+        down_abs += float(fa[t:].sum())
+        err += float(np.abs(kd[:, 1]).sum())
+    value += (cmath.exp(1j * one_plus * a) * up_sum
+              + (cmath.exp(1j * one_minus * a) * down_sum).conjugate())
+    absum += (1.0 + one_plus * a) * up_abs + (1.0 + one_minus * a) * down_abs
+    # Z + p conj(Z) is off by at most twice Z's error
+    value = carrier(m) * (value + parity * value.conjugate())
+    err = 2.0 * (err + _EPMACH * absum)
     return QuadratureResult(value=value, error_estimate=err, n_evals=n_evals,
                             converged=bool(err <= tol))
 

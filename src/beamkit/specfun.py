@@ -81,6 +81,14 @@ def legendre_p(n: int, x):
     return p if np.ndim(x) else float(p)
 
 
+def _as_order(n, what: str) -> int:
+    """An order as an int: a bool or a non-integer is refused, a numpy int
+    converted, so that no sum with it wraps around in a small dtype."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise ValueError(f"{what} must be an int: {n!r}")
+    return int(n)
+
+
 def legendre_p_sequence(n_max: int, x) -> np.ndarray:
     """All of P_0(x) .. P_{n_max}(x) in one upward sweep, x scalar or array.
 
@@ -88,9 +96,8 @@ def legendre_p_sequence(n_max: int, x) -> np.ndarray:
     a float is refused, a numpy int accepted.
     """
     # an exact int passes on the first test, which costs nothing per call
-    if type(n_max) is not int and (isinstance(n_max, bool) or not
-                                   isinstance(n_max, numbers.Integral)):
-        raise ValueError(f"Legendre order must be an int: {n_max!r}")
+    if type(n_max) is not int:
+        n_max = _as_order(n_max, "Legendre order")
     if n_max < 0:
         raise ValueError(f"negative degree: n_max={n_max}")
     x = _clamp_unit(x)
@@ -280,8 +287,11 @@ def spherical_jn_sequence(n_max: int, x: float) -> np.ndarray:
     Upward recurrence when x >= n_max (stable there), Miller downward
     recurrence otherwise, normalized against j_0 = sin(x)/x (or j_1 when
     x sits near a zero of the sine).  Entries that would land below 1e-300
-    come back as 0.0.
+    come back as 0.0.  ``n_max`` is an int: a bool or a float is
+    refused, a numpy int accepted.
     """
+    if type(n_max) is not int:
+        n_max = _as_order(n_max, "spherical Bessel order n_max")
     if n_max < 0:
         raise ValueError(f"negative order: n_max={n_max}")
     x = float(x)
@@ -305,8 +315,11 @@ def spherical_jn(n: int, x):
     whatever the array's size, so it pays from about 16 (n <= 20) to 25
     (n = 100) entries below n.  On a 2-vCPU Xeon, numpy 2.4: 8 entries
     take 0.2-0.6 ms against 0.1-0.2 ms one at a time, and 1000 entries
-    0.6-5.6 ms against 9-38 ms, for n = 1-100.
+    0.6-5.6 ms against 9-38 ms, for n = 1-100.  ``n`` is an int: a bool
+    or a float is refused, a numpy int accepted.
     """
+    if type(n) is not int:
+        n = _as_order(n, "spherical Bessel order n")
     if n < 0:
         raise ValueError(f"negative order: n={n}")
     if np.ndim(x) == 0:

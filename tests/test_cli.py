@@ -290,7 +290,7 @@ class TestVerify:
         ("jnnorm",
          "82949fe627ee78b02b101ca7ad167ed67bd8f15e5d7937033110b10d54ed0490"),
         ("ftpair",
-         "c1c37647899b31771d0c0e957b98f18292da281a104d5ca902f612491d3e5a2a"),
+         "0a046825fed46b617144e1fb9f487945b5cc9d63ff973def998b3ad2b4b83012"),
         ("planewave",
          "a0aed41897833c27c1eb8fd71115a6f3aba882bbb408854edca2f3349f20b4d2"),
         ("beamidentity",

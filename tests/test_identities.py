@@ -106,7 +106,7 @@ class TestFtPair:
         assert len(reports) == 42
         assert all(r.params["quad_converged"] for r in reports)
         assert max(abs(r.lhs - r.rhs) for r in reports) <= 1e-15
-        assert sum(r.params["quad_evals"] for r in reports) == 28980
+        assert sum(r.params["quad_evals"] for r in reports) == 14610
 
     @pytest.mark.parametrize("n,beta", [(80, 0.999), (151, 0.3), (200, 0.5),
                                         (300, 0.9)])
@@ -289,11 +289,35 @@ class TestXwaveOracle:
     def test_zero_a_is_exterior_and_checked(self, cos_theta, p):
         # a = sin(theta) rho = 0 lies outside the support |b| < a: the
         # closed form is 0 there and the oracle, 2 eps/(eps^2 + b^2) at
-        # a = 0, is extrapolated from eps0 = 0.4 |b| instead of raising
+        # a = 0, is extrapolated from eps0 = 0.4 |b| instead of raising.
+        # It is odd in eps, and extrapolated in odd powers it lands on 0
+        # to rounding (in even powers it stayed 1e-4..1e-2 off)
         r = xwave_oracle_check(cos_theta, p)
         _assert_ok(r)
         assert r.lhs == 0.0 and r.rhs == 0.0
-        assert 0.0 < r.params["oracle_residual"] < 1e-2
+        assert r.params["oracle_tol"] == 1e-12
+        assert abs(r.params["oracle_residual"]) <= 1e-12
+
+
+    def test_suite_exterior_residuals_gated(self):
+        # the ten exterior points of suite_xwave: extrapolated in even
+        # powers of eps the oracle stayed 2.2e-4..5.1e-3 off 0, in odd
+        # powers it is at most 6.3e-18 off, and each report holds it to
+        # its oracle_tol
+        exterior = [r for r in run_suite("xwave") if r.rhs == 0]
+        assert len(exterior) == 10
+        for r in exterior:
+            _assert_ok(r)
+            assert abs(r.params["oracle_residual"]) <= 1e-17
+
+    def test_exterior_residual_past_tol_fails(self, monkeypatch):
+        # the closed form is exactly 0, but an oracle that does not come
+        # down to 0 fails the report
+        monkeypatch.setattr(idn, "_richardson_eps_limit",
+                            lambda a, b: (2e-12, 0.0))
+        r = xwave_oracle_check(0.3, FieldPoint(z=-2.0, rho=0.0, t=5.0))
+        assert r.lhs == 0.0 and r.abs_err == 0.0
+        assert r.ok is False
 
 
 _SUITE_SIZES = {"hochstadt": 30, "orthogonality": 31, "planewave": 6,

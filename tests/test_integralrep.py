@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from beamkit import integralrep
+from beamkit import integralrep, oscquad
 from beamkit.beamcore import BeamParams, FieldPoint, cauchy, eval_direct, vacuum
 from beamkit.cli import main
 from beamkit.integralrep import eval_integral_rep
@@ -94,16 +94,21 @@ def _ray_panel_estimates(a, beta2, rate, sign):
     return h * np.abs(fx @ _WKD[:, 1])
 
 
-def _found_rays():
-    """(a, beta2, rate) of the four rays at omega=6, cos_theta=0.8, z=1,
-    rho=1.5, laid out as ``_segment_and_rays`` lays them out."""
-    r = math.hypot(1.0, 1.5)
-    mu, c, delta = 6.0 * r, 1.0 / r, 1.5 * 1.5 / (r * (r + 1.0))
-    m, beta2 = 0.8 * mu, mu * mu * 0.36
-    big_l = max(mu, m + c * math.sqrt(beta2) / math.sqrt(1.0 - c * c))
-    big_l += math.pi
-    return [(big_l - m, beta2, 2.0 - delta), (big_l - m, beta2, delta),
-            (big_l + m, beta2, delta), (big_l + m, beta2, 2.0 - delta)]
+def _found_rays(omega=6.0, cos_theta=0.8, z=1.0, rho=1.5):
+    """(a, beta2, rate) of the two rays of one point, laid out as
+    ``_segment_and_rays`` lays them out: from a = cos_eta beta / sin_eta
+    + pi on the half line u = lambda - m >= 0."""
+    r = math.hypot(z, rho)
+    mu, c, delta = omega * r, z / r, rho * rho / (r * (r + abs(z)))
+    beta2 = mu * mu * (1.0 - cos_theta * cos_theta)
+    a = abs(c) * math.sqrt(beta2) / math.sqrt(delta * (2.0 - delta))
+    return [(a + math.pi, beta2, 2.0 - delta), (a + math.pi, beta2, delta)]
+
+
+# the rays at omega=6, cos_theta=0.8, z=1, rho=1.5, then those of the
+# near-axis point omega=3, cos_theta=0.7, z=3, rho=0.05, whose down ray
+# decays at rate 1.4e-4
+_FOUND = _found_rays() + _found_rays(3.0, 0.7, 3.0, 0.05)
 
 
 class TestNearAxis:
@@ -150,7 +155,7 @@ class TestNearAxis:
         (100.0, 4.0, 2.0), (100.0, 4.0, 1e-4), (5e5, 1e4, 1e-9),
         (2e3, 1.6e3, 5e-4), (3.2, 9.0, 0.5), (3.2, 9.0, 1.5)]
         + [pytest.param(*ray, id=f"found{k}")
-           for k, ray in enumerate(_found_rays())])
+           for k, ray in enumerate(_FOUND)])
     def test_ray_panels_widen_within_first_estimate(self, a, beta2, rate,
                                                      sign):
         # panels widen as the integrand decays, but no panel's K15 - G7
@@ -159,10 +164,29 @@ class TestNearAxis:
         assert np.all(est <= est[0])
 
     def test_ray_panels_widen_as_integrand_decays(self):
-        # omega=6, cos_theta=0.8, z=1, rho=1.5: the four rays took 59
-        # panels while every panel was sized for the local frequency
+        # omega=6, cos_theta=0.8, z=1, rho=1.5: the four rays of the whole
+        # line took 59 panels while every panel was sized for the local
+        # frequency, and 32 widened; the two rays of the half line take 19
         panels = sum(len(_ray_edges(*ray)) - 1 for ray in _found_rays())
-        assert panels <= 32
+        assert panels <= 19
+
+    def test_ray_point_lays_out_two_rays(self, monkeypatch):
+        # the half line u >= 0 has one tail: its two parts go up and down
+        # one ray each, where the whole line took four
+        calls = []
+        edges = oscquad._ray_edges
+
+        def counting(*args):
+            calls.append(args)
+            return edges(*args)
+
+        monkeypatch.setattr(oscquad, "_ray_edges", counting)
+        b = BeamParams(omega=6.0, cos_theta=0.8)
+        p = FieldPoint(z=1.0, rho=1.5, t=0.0)
+        res = eval_integral_rep(b, p)
+        assert res.converged is True
+        assert abs(res.value - eval_direct(b, p)) <= 1e-9
+        assert len(calls) == 2
 
 
 class TestRouteSelection:
@@ -284,14 +308,14 @@ class TestOffAxis:
 class TestConvergenceReporting:
     def test_near_axis_stall_cost_pinned(self):
         # rho = 0.05 beats over ~7000 half-periods, where half-period cells
-        # share a sign; the ray quadrature converges on 583 K15 panels.  A
-        # count, unlike a time, pins the cost on any host
+        # share a sign; the ray quadrature converges on 288 K15 panels of
+        # the half line.  A count, unlike a time, pins the cost on any host
         b = BeamParams(omega=3.0, cos_theta=0.7)
         p = FieldPoint(z=3.0, rho=0.05, t=0.0)
         res = eval_integral_rep(b, p)
         assert res.converged is True
         assert abs(res.value - eval_direct(b, p)) <= 1e-12
-        assert res.n_evals == 8745
+        assert res.n_evals == 4320
 
     def test_beat_past_budget_costs_nothing(self):
         # 1 - cos_eta ~ 5e-15: the real saddle lies near lambda = 1e7, so
@@ -311,10 +335,10 @@ class TestConvergenceReporting:
         assert res.converged is False
 
     def test_ray_layout_past_budget_flags_not_raises(self):
-        # 1 - |cos eta| = 0.22 takes the rays; at mu = 1280 their segment
-        # alone needs about 22800 nodes, past the budget of 1 * 15360, so
-        # the route says so before evaluating anything
-        b = BeamParams(omega=1000.0, cos_theta=0.6)
+        # 1 - |cos eta| = 0.22 takes the rays; at mu = 2561 their segment
+        # on the half line alone needs about 22800 nodes, past the budget
+        # of 1 * 15360, so the route says so before evaluating anything
+        b = BeamParams(omega=2000.0, cos_theta=0.6)
         p = FieldPoint(1.0, 0.8, 0.0)
         res = eval_integral_rep(b, p, max_cell_pairs=1)
         assert res.converged is False
@@ -391,6 +415,29 @@ class TestReadmeRow:
         assert band == 21
         assert len(calls) == 2
 
+    def test_grid_work_pinned(self, monkeypatch):
+        # the whole README integral map, 61 x 41 points: 2014 take the
+        # rays, each with two ray layouts, and the route takes 1,850,040
+        # integrand evaluations.  A count, unlike a time, pins the cost on
+        # any host
+        calls = []
+        edges = oscquad._ray_edges
+
+        def counting(*args):
+            calls.append(1)
+            return edges(*args)
+
+        monkeypatch.setattr(oscquad, "_ray_edges", counting)
+        b = BeamParams(omega=6.0, cos_theta=0.8)
+        n_evals = 0
+        for z in np.linspace(-3.0, 3.0, 61):
+            for rho in np.linspace(0.0, 4.0, 41):
+                res = eval_integral_rep(
+                    b, FieldPoint(z=float(z), rho=float(rho), t=0.0))
+                assert res.converged is True
+                n_evals += res.n_evals
+        assert len(calls) == 4028
+        assert n_evals == 1850040
 
     def test_rows_z_minus1_0_1_bit_for_bit(self, tmp_path):
         # the README integral map's rows z = -1, 0 and 1, as
@@ -404,7 +451,49 @@ class TestReadmeRow:
                      "--z-steps", "3", "--rho-min", "0", "--rho-max", "4",
                      "--rho-steps", "41", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "68914096865be5bb41822ac36bfeb937cfa1f729c346e0148bb79516d8ad17c2")
+            "303364042bba3481a93fdf5579c483d37b39ad26b8ddacdeb1e8f3d274bca590")
+
+
+class TestClaimAgainstMpmath:
+    # points of a stress set (cos theta in {+-1, 0, 0.999999, -0.5},
+    # omega in [-150, 40], vacuum and cauchy(1.5, 0.01)) where the
+    # integral route lies further from eval_direct than its own claim:
+    # there eval_direct is the less accurate side, off by its phase
+    # rounding, about eps |k cos theta z|, and against the field to 40
+    # digits the integral stays within its claim.  Rows are (cos_theta,
+    # omega, cauchy medium?, z, rho, t)
+    POINTS = [(0.999999, 40.0, True, 0.76, 2.43, -0.75),
+              (0.999999, 40.0, True, 2.76, 2.59, -1.8),
+              (0.999999, 20.0, True, -1.16, 2.89, -0.14),
+              (0.999999, -30.0, True, -0.92, 2.85, 0.29),
+              (0.999999, -60.0, True, -0.93, 1.85, 0.73),
+              (0.999999, -120.0, True, 0.63, 1.99, 0.71),
+              (0.999999, -150.0, True, -1.85, 2.14, -1.2),
+              (0.999999, -60.0, False, 2.07, 2.85, 1.62),
+              (0.999999, -150.0, False, 0.75, 2.71, 1.1),
+              (0.999999, -150.0, False, -2.97, 2.5, 1.19)]
+
+    @pytest.mark.parametrize("pt", POINTS,
+                             ids=lambda pt: f"omega{pt[1]}-{pt[2]}-z{pt[3]}")
+    def test_error_within_claim(self, pt):
+        mp = pytest.importorskip("mpmath")
+        cos_theta, omega, dispersive, z, rho, t = pt
+        medium = cauchy(1.5, 0.01) if dispersive else vacuum()
+        b = BeamParams(omega=omega, cos_theta=cos_theta)
+        p = FieldPoint(z=z, rho=rho, t=t)
+        res = eval_integral_rep(b, p, medium=medium)
+        direct = eval_direct(b, p, medium=medium)
+        with mp.workdps(40):
+            # the same float index the routes use; every other input exact
+            k = mp.mpf(medium.evaluate(omega)) * mp.mpf(omega)
+            ct = mp.mpf(cos_theta)
+            exact = complex(
+                mp.exp(1j * (k * ct * mp.mpf(z) - mp.mpf(omega) * mp.mpf(t)))
+                * mp.besselj(0, k * mp.sqrt(1 - ct * ct) * mp.mpf(rho)))
+        assert res.converged is True
+        assert abs(res.value - direct) > res.error_estimate
+        assert abs(res.value - exact) <= res.error_estimate
+        assert abs(direct - exact) > abs(res.value - exact)
 
 
 class TestDispersive:

@@ -1,5 +1,6 @@
 """Quadrature engines: finite adaptive rule, oscillatory line integrals,
 and the regularized Fourier closed form."""
+import cmath
 import math
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from beamkit.oscquad import (_BATCH_NODES, QuadratureResult, _Epsilon,
-                             integrate_finite, integrate_oscillatory_infinite,
+                             _segment_and_rays, integrate_finite,
+                             integrate_oscillatory_infinite,
                              regularized_j0_fourier)
 from beamkit.specfun import bessel_j0, spherical_jn
 
@@ -429,6 +431,43 @@ def _partial_sums(terms):
         total += t
         sums.append(total)
     return sums
+
+
+def _j0_ray(z, rate_s):
+    # half of h_0^(1)(z) = -i e^{iz} / z, times i from dz = i ds, with
+    # e^{iz} e^{icz} taken as e^{-rate s}: its phase stays outside
+    return np.exp(-rate_s) / (2.0 * z)
+
+
+def _j1_ray(z, rate_s):
+    # the same for h_1^(1)(z) = -e^{iz} (z + i) / z^2
+    return -0.5j * np.exp(-rate_s) * (z + 1j) / (z * z)
+
+
+class TestSegmentAndRays:
+    # Int j_n(lambda - m) e^{i c lambda} dlambda = e^{i c m} pi i^n P_n(c)
+    # for |c| < 1: j_0 is even and j_1 odd in u = lambda - m
+    @pytest.mark.parametrize("m", [0.0, 2.3, -1.7])
+    @pytest.mark.parametrize("c", [0.4, -0.7, 0.95])
+    @pytest.mark.parametrize("n,parity,ray_f", [(0, 1.0, _j0_ray),
+                                                (1, -1.0, _j1_ray)],
+                             ids=["even", "odd"])
+    def test_half_line_lands_on_closed_form(self, n, parity, ray_f, c, m):
+        # only u >= 0 is evaluated; the other half is the mirror image of
+        # this one times the parity
+        args = []
+
+        def f(u):
+            args.append(u.copy())
+            return spherical_jn(n, u)
+
+        res = _segment_and_rays(f, ray_f, 2.0 * math.pi, m, c, 1.0 - abs(c),
+                                0.0, parity, 1e-12, 1 << 20)
+        exact = cmath.exp(1j * c * m) * math.pi * 1j ** n * c ** n
+        assert res.converged is True
+        assert abs(res.value - exact) <= res.error_estimate
+        assert min(u.min() for u in args) >= 0.0
+        assert max(u.max() for u in args) <= 2.0 * math.pi
 
 
 class TestTinyIntegrand:

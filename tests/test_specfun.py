@@ -164,6 +164,24 @@ _JN_ORACLES = [
 
 
 class TestSphericalBessel:
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, False, np.float64(3.0)])
+    def test_non_integer_order_refused(self, n):
+        # a float died with a TypeError inside the sweep, and True came
+        # back as the order-1 table; both are refused with the order named
+        for call in (lambda: spherical_jn_sequence(n, 0.7),
+                     lambda: spherical_jn(n, 0.7),
+                     lambda: spherical_jn(n, np.array([0.7, 30.0]))):
+            with pytest.raises(ValueError, match=re.escape(repr(n))):
+                call()
+
+    @pytest.mark.parametrize("n", [np.int64(4), np.int32(4), np.uint8(4)])
+    def test_numpy_int_order_accepted(self, n):
+        assert spherical_jn_sequence(n, 0.7).tobytes() == \
+            spherical_jn_sequence(4, 0.7).tobytes()
+        assert spherical_jn(n, 0.7) == spherical_jn(4, 0.7)
+        xs = np.array([1e-9, 0.7, 30.0])
+        assert spherical_jn(n, xs).tobytes() == spherical_jn(4, xs).tobytes()
+
     @pytest.mark.parametrize("x", [2.0, 123.456, 2000.5])
     def test_j0_closed_form(self, x):
         assert spherical_jn(0, x) == pytest.approx(math.sin(x) / x,
