@@ -29,15 +29,34 @@ The checks:
 * ``triple_sum_cesaro_check`` / ``xwave_oracle_check``: wavepacket-layer
   checks against the closed forms and an eps-extrapolated regularized
   Fourier oracle.
+
+The Stratton and orthogonality integrands are entire on [-1, 1], so a
+fixed polynomial rule converges geometrically once its size passes their
+bandwidth (Trefethen, SIAM Rev. 50 (2008) 67-87).  Both take one
+Clenshaw-Curtis rule, ``_clenshaw_curtis``: the integrand is evaluated
+once on the 2N + 1 nodes -cos(k pi / 2N), the value is that rule's, and
+the claim is its distance to the rule of size N, whose nodes are the
+even-indexed ones, plus a rounding floor of 64 eps sum(w |f|).  N comes
+from the integrand: n + |omega| (|z| + rho) + 16 for Stratton's P_n
+against the beam kernel, 2n for P_n^2, where both rules are exact.  The
+weights are built from one FFT on first use and kept in a bounded cache,
+never at import.  A rule of more than 60015 nodes (the cost of
+``integrate_finite``'s 2000 bisections), or a table of more than 2^22
+orders times nodes, is refused before anything is evaluated or
+allocated, and its reports come back with ``quad_converged`` False.
+Each suite makes one call per point for all its orders; a single report
+is the same call up to its own order.  ``bessel_beam_identity`` keeps
+the adaptive ``integrate_finite``.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .oscquad import (_segment_and_rays, integrate_finite,
+from .oscquad import (QuadratureResult, _segment_and_rays, integrate_finite,
                       integrate_oscillatory_infinite, regularized_j0_fourier)
 from .pwseries import _I_POWERS, truncation_order
 from .specfun import (bessel_j0, legendre_p, legendre_p_sequence, spherical_jn,
@@ -135,14 +154,72 @@ def _jn_signed(n: int, lam) -> np.ndarray:
 # Finite-interval identities
 # ----------------------------------------------------------------------------
 
-def verify_stratton_integral(n: int, omega: float, z: float, rho: float,
-                             tol: float = 1e-9) -> IdentityReport:
-    """Cone integral of P_n against the beam kernel vs 2 i^n P_n(z/r) j_n(omega r).
+# most nodes of a Clenshaw-Curtis rule: the cost of integrate_finite's
+# 2000 bisections
+_CC_NODES = 60015
+# most entries of the (rows, nodes) table of a Clenshaw-Curtis call
+_CC_TABLE = 1 << 22
+# the rounding floor of a claim, per unit of sum(w |f|)
+_CC_FLOOR = 64.0 * float(np.finfo(float).eps)
+# the claim of a refused rule
+_FLOAT_MAX = float(np.finfo(float).max)
 
-    lhs = int_{-1}^{1} P_n(a) exp(i omega a z) J_0(omega sqrt(1-a^2) rho) da
+
+@functools.lru_cache(maxsize=32)
+def _cc_rule(n: int):
+    """The Clenshaw-Curtis rule of size 2n on [-1, 1]: its 2n + 1 nodes
+    -cos(k pi / 2n), ascending, its weights, and the weights of the rule
+    of size n, whose nodes are the even-indexed ones.  Weights from one
+    FFT each (Waldvogel, BIT 46 (2006) 195-202)."""
+    def weights(m):
+        odd = np.arange(1, m, 2)
+        v = np.zeros(m + 1)
+        v[:odd.size] = 2.0 / (odd * (odd - 2.0))
+        v[odd.size] = 1.0 / odd[-1]
+        g = np.full(m, -1.0)
+        g[odd.size] += m
+        g[m - odd.size] += m
+        w = np.fft.ifft(g / (m * m - 1 + m % 2) - v[:-1] - v[:0:-1]).real
+        return np.append(w, w[0])
+
+    k = np.arange(2 * n + 1)
+    # sin of the angle off the middle node: exactly odd about it
+    out = (np.sin(np.pi * (k - n) / (2 * n)), weights(2 * n), weights(n))
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+def _clenshaw_curtis(f, orders: range, size: float, tol: float) -> list:
+    """One QuadratureResult per order in ``orders``: the integral over
+    [-1, 1] of its row of the table f(nodes), on the rule of size 2N,
+    N = ceil(size) but at least 2, with the claim of the module docstring
+    and n_evals = 2N + 1.  f may build the rows of every order from 0 up.
+    Past ``_CC_NODES`` nodes, or past ``_CC_TABLE`` orders times nodes,
+    f is not called and every row comes back converged=False with
+    n_evals = 0.
     """
-    if n < 0:
-        raise ValueError(f"negative order: n={n}")
+    # size first, as a float: an infinite one has no ceiling
+    n = max(2, math.ceil(size)) if size <= _CC_NODES // 2 else _CC_NODES
+    if 2 * n + 1 > _CC_NODES or (orders[-1] + 1) * (2 * n + 1) > _CC_TABLE:
+        return [QuadratureResult(value=0j, error_estimate=_FLOAT_MAX,
+                                 n_evals=0, converged=False)] * len(orders)
+    nodes, w_fine, w_coarse = _cc_rule(n)
+    fx = f(nodes)
+    value = fx @ w_fine
+    err = np.abs(fx[:, ::2] @ w_coarse - value) \
+        + _CC_FLOOR * (np.abs(fx) @ w_fine)
+    return [QuadratureResult(value=complex(v), error_estimate=float(e),
+                             n_evals=2 * n + 1, converged=bool(e <= tol))
+            for v, e in zip(value.tolist(), err.tolist())]
+
+
+def _stratton_reports(n_lo: int, n_top: int, omega: float, z: float,
+                      rho: float, tol: float) -> list:
+    # the reports of orders n_lo .. n_top at one (omega, z, rho), from one
+    # Clenshaw-Curtis call on the rows P_0 .. P_n_top
+    if n_lo < 0:
+        raise ValueError(f"negative order: n={n_lo}")
     if not (math.isfinite(omega) and math.isfinite(z) and 0 <= rho < math.inf):
         raise ValueError("omega and z must be finite, rho finite and "
                          f"nonnegative: {omega!r}, {z!r}, {rho!r}")
@@ -150,21 +227,46 @@ def verify_stratton_integral(n: int, omega: float, z: float, rho: float,
     if r == 0.0:
         raise ValueError("point at the origin: r must be positive")
 
-    def integrand(alpha):
-        al = np.asarray(alpha, dtype=float)
-        pn = legendre_p(n, al)
-        transverse = omega * np.sqrt(np.maximum(0.0, 1.0 - al * al)) * rho
-        return pn * np.exp(1j * omega * al * z) * bessel_j0(transverse)
+    def table(al):
+        transverse = omega * np.sqrt((1.0 - al) * (1.0 + al)) * rho
+        kernel = np.exp(1j * omega * z * al) * bessel_j0(transverse)
+        return legendre_p_sequence(n_top, al)[n_lo:] * kernel
 
-    q = integrate_finite(integrand, -1.0, 1.0, tol=0.1 * tol)
-    sgn = -1.0 if (omega < 0 and n % 2 == 1) else 1.0
-    rhs = 2.0 * _I_POWERS[n % 4] * legendre_p(n, z / r) * sgn \
-        * spherical_jn(n, abs(omega) * r)
-    params = {"n": n, "omega": float(omega), "z": float(z), "rho": float(rho),
-              "quad_error": q.error_estimate, "quad_evals": q.n_evals,
-              "quad_converged": q.converged}
-    return _report("stratton_integral", params, q.value, rhs, tol,
-                   healthy=q.converged)
+    # the integrand's bandwidth in a, plus a margin
+    size = n_top + abs(omega) * (abs(z) + rho) + 16.0
+    orders = range(n_lo, n_top + 1)
+    pz = legendre_p_sequence(n_top, z / r)
+    out = []
+    for n, q in zip(orders, _clenshaw_curtis(table, orders, size,
+                                             0.1 * tol)):
+        sgn = -1.0 if (omega < 0 and n % 2 == 1) else 1.0
+        rhs = 2.0 * _I_POWERS[n % 4] * pz[n] * sgn \
+            * spherical_jn(n, abs(omega) * r)
+        params = {"n": n, "omega": float(omega), "z": float(z),
+                  "rho": float(rho), "quad_error": q.error_estimate,
+                  "quad_evals": q.n_evals, "quad_converged": q.converged}
+        out.append(_report("stratton_integral", params, q.value, rhs, tol,
+                           healthy=q.converged))
+    return out
+
+
+def verify_stratton_integral(n: int, omega: float, z: float, rho: float,
+                             tol: float = 1e-9) -> IdentityReport:
+    """Cone integral of P_n against the beam kernel vs 2 i^n P_n(z/r) j_n(omega r).
+
+    lhs = int_{-1}^{1} P_n(a) exp(i omega a z) J_0(omega sqrt(1-a^2) rho) da
+
+    The integrand is entire in a, and its bandwidth is about
+    n + |omega| (|z| + rho), so a Clenshaw-Curtis rule of size
+    2N, N = ceil(n + |omega| (|z| + rho) + 16), takes it to rounding; its
+    claim is the distance to the rule of size N plus a rounding floor, and
+    the quadrature converges when the claim is under tol / 10.  A rule of
+    more than 60015 nodes (|omega| (|z| + rho) past about 30,000), or a
+    table of P_0 .. P_n on its nodes of more than 2^22 entries, comes
+    back flagged without evaluating.  ``suite_stratton`` integrates orders
+    0 .. 12 in one call per point; this is the same call for orders 0 .. n.
+    """
+    return _stratton_reports(n, n, omega, z, rho, tol)[0]
 
 
 def delta_kernel_test(cos_theta0: float, n_max: int, test_fn,
@@ -196,21 +298,41 @@ def delta_kernel_test(cos_theta0: float, n_max: int, test_fn,
     return _report("delta_kernel", params, lhs, rhs, tol)
 
 
-def legendre_orthogonality(n: int) -> IdentityReport:
-    """int_{-1}^{1} P_n(a)^2 da = 1/(n + 1/2), checked at 1e-11."""
-    if n < 0:
-        raise ValueError(f"negative order: n={n}")
+def _orthogonality_reports(n_lo: int, n_top: int) -> list:
+    # the reports of orders n_lo .. n_top, from one Clenshaw-Curtis call
+    # on the rows P_0^2 .. P_n_top^2
+    if n_lo < 0:
+        raise ValueError(f"negative order: n={n_lo}")
 
-    def integrand(alpha):
-        pn = legendre_p(n, alpha)
+    def table(al):
+        pn = legendre_p_sequence(n_top, al)[n_lo:]
         return pn * pn
 
-    q = integrate_finite(integrand, -1.0, 1.0, tol=1e-13)
-    rhs = 1.0 / (n + 0.5)
-    params = {"n": n, "quad_error": q.error_estimate,
-              "quad_evals": q.n_evals, "quad_converged": q.converged}
-    return _report("legendre_orthogonality", params, q.value, rhs, 1e-11,
-                   healthy=q.converged)
+    # P_n^2 has degree 2n: both rules are exact from N = 2n on
+    orders = range(n_lo, n_top + 1)
+    out = []
+    for n, q in zip(orders, _clenshaw_curtis(table, orders, 2.0 * n_top,
+                                             1e-13)):
+        params = {"n": n, "quad_error": q.error_estimate,
+                  "quad_evals": q.n_evals, "quad_converged": q.converged}
+        out.append(_report("legendre_orthogonality", params, q.value,
+                           1.0 / (n + 0.5), 1e-11, healthy=q.converged))
+    return out
+
+
+def legendre_orthogonality(n: int) -> IdentityReport:
+    """int_{-1}^{1} P_n(a)^2 da = 1/(n + 1/2), checked at 1e-11.
+
+    P_n^2 is a polynomial of degree 2n, so the Clenshaw-Curtis rules of
+    sizes N = max(2n, 2) and 2N are both exact to rounding; the claim is
+    their distance plus a rounding floor, and the quadrature converges
+    when the claim is under 1e-13.  The table of P_0 .. P_n on the 2N + 1
+    nodes is bounded: from n = 1024 on it would pass 2^22 entries, and
+    the report comes back flagged without evaluating.
+    ``suite_orthogonality`` integrates orders 0 .. 30 in one call; this
+    is the same call for orders 0 .. n.
+    """
+    return _orthogonality_reports(n, n)[0]
 
 
 # ----------------------------------------------------------------------------
@@ -535,13 +657,10 @@ _STRATTON_POINTS = [(0.3, 0.7), (1.0, 0.0), (0.0, 1.0), (-1.2, 0.5),
 
 
 def suite_stratton() -> list:
-    out = []
-    for n in range(13):
-        for omega in (0.5, 2.0, 10.0):
-            for z, rho in _STRATTON_POINTS:
-                out.append(verify_stratton_integral(n, omega, z, rho,
-                                                    tol=1e-9))
-    return out
+    # one call for orders 0 .. 12 per point, reports ordered by n first
+    points = [_stratton_reports(0, 12, omega, z, rho, 1e-9)
+              for omega in (0.5, 2.0, 10.0) for z, rho in _STRATTON_POINTS]
+    return [reports[n] for n in range(13) for reports in points]
 
 
 def suite_ftpair() -> list:
@@ -564,7 +683,7 @@ def suite_hochstadt(n_triples: int = 30, seed: int = 7141) -> list:
 
 
 def suite_orthogonality() -> list:
-    return [legendre_orthogonality(n) for n in range(31)]
+    return _orthogonality_reports(0, 30)
 
 
 def suite_jnnorm() -> list:

@@ -172,11 +172,13 @@ def _k15_error(h, fx):
     return k, max(err, floor), floor
 
 
-def _ray_edges(a: float, beta2: float, rate: float) -> list:
+def _ray_edges(a: float, beta2: float, rate: float,
+               limit: float = math.inf) -> list:
     """Panel edges in s on the vertical ray z = a +- i*s (a > 0) of a part
     e^{+-iR}/(2R), R = sqrt(z^2 + beta2), that decays at ``rate`` with its
-    carrier, out to where it is negligible.  A negative beta2 = -nu^2
-    (a > nu) puts the branch points of R on the real axis at +-nu."""
+    carrier, out to where it is negligible, or as soon as there are more
+    than ``limit`` panels.  A negative beta2 = -nu^2 (a > nu) puts the
+    branch points of R on the real axis at +-nu."""
     if beta2 >= 0.0:
         near_a, near_s = a, math.sqrt(beta2)
     else:
@@ -207,6 +209,8 @@ def _ray_edges(a: float, beta2: float, rate: float) -> list:
         s += min(0.4 * math.hypot(near_a, s - near_s),
                  wide * grow / (rate + abs(q / r)))
         edges.append(s)
+        if len(edges) > limit + 1:
+            return edges
 
 
 def _segment_and_rays(f: Callable, ray_f: Callable, a: float, m: float,
@@ -230,7 +234,8 @@ def _segment_and_rays(f: Callable, ray_f: Callable, a: float, m: float,
     is twice that of Z: the K15 - G7 difference of every panel plus eps
     times the absolute sums, each node weighted by the size of its phase.
     A layout of more than ``budget`` nodes is refused before any
-    evaluation, with n_evals = 0.
+    evaluation, with n_evals = 0; each ray's layout stops as soon as it
+    passes the panels left in the budget.
     """
     def unconverged():
         return QuadratureResult(value=0j, error_estimate=_OFLOW, n_evals=0,
@@ -244,8 +249,9 @@ def _segment_and_rays(f: Callable, ray_f: Callable, a: float, m: float,
     # cancellation
     one_minus, one_plus = ((delta, 2.0 - delta) if c > 0
                            else (2.0 - delta, delta))
-    up = _ray_edges(a, beta2, one_plus)
-    down = _ray_edges(a, beta2, one_minus)
+    left = budget // 15 - n_seg
+    up = _ray_edges(a, beta2, one_plus, left)
+    down = _ray_edges(a, beta2, one_minus, left - len(up) + 1)
     n_evals = 15 * (n_seg + len(up) + len(down) - 2)
     if n_evals > budget:
         return unconverged()

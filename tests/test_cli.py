@@ -300,9 +300,9 @@ class TestVerify:
         ("triplesum",
          "b9c4b22913e7c9f97ff242981d3bbacf6b92696f570ffe8b005122f1970411b5"),
         ("orthogonality",
-         "d8ece7b188448b2e14172701ca91541822028785b76060d64ab59cbcee5c78e5"),
+         "754d163bc0f6506090aa7c0fee5aba246de11c0e2327da47468f67fc23afd935"),
         ("stratton",
-         "a3767d9e2754139f08503ff9d6984960059910f7d375ae130a89106062ad2ce6"),
+         "72bb712669ed27def4c1d515e9c032969dd6775fdf7826d7837d502389f96012"),
     ])
     def test_jn_integrand_suites_bit_for_bit(self, suite, digest, tmp_path,
                                              capsys):

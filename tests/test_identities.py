@@ -1,5 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +19,8 @@ from beamkit.identities import (SUITE_NAMES, bessel_beam_identity,
                                 plane_wave_negative_control, run_suite,
                                 triple_sum_cesaro_check,
                                 verify_stratton_integral, xwave_oracle_check)
-from beamkit.specfun import legendre_p_sequence, spherical_jn_sequence
+from beamkit.specfun import (bessel_j0, legendre_p_sequence,
+                             spherical_jn_sequence)
 from beamkit.wavepacket import ConeAngles
 
 
@@ -55,6 +61,147 @@ class TestStratton:
         # the reference side needs the direction z/r, undefined at r = 0
         with pytest.raises(ValueError):
             verify_stratton_integral(0, 2.0, 0.0, 0.0)
+
+
+def _stratton_rows(n_top, omega, z, rho, nodes):
+    # P_0 .. P_n_top times the beam kernel, written out afresh
+    kernel = (np.exp(1j * omega * z * nodes)
+              * bessel_j0(omega * rho * np.sqrt(1.0 - nodes * nodes)))
+    return legendre_p_sequence(n_top, nodes) * kernel
+
+
+def _twice_the_size(reports, rows):
+    # each report's value on the Clenshaw-Curtis rule twice its size: the
+    # reports of one call share a rule of quad_evals = 2N + 1 nodes, so
+    # this rule has 4N + 1
+    n = (reports[0].params["quad_evals"] - 1) // 2
+    nodes, weights, _ = idn._cc_rule(2 * n)
+    return rows(nodes) @ weights
+
+
+class TestClenshawCurtis:
+    @pytest.mark.parametrize("omega,z,rho",
+                             [(om, z, rho) for om in (0.5, 2.0, 10.0)
+                              for z, rho in idn._STRATTON_POINTS])
+    def test_stratton_claim_bounds_twice_the_size(self, omega, z, rho):
+        # the claim |Q_N - Q_2N| plus its floor bounds the distance from
+        # Q_2N, the value, to Q_4N, at every order of the suite's points
+        reports = [r for r in run_suite("stratton")
+                   if (r.params["omega"], r.params["z"], r.params["rho"])
+                   == (omega, z, rho)]
+        assert [r.params["n"] for r in reports] == list(range(13))
+        finer = _twice_the_size(
+            reports, lambda x: _stratton_rows(12, omega, z, rho, x))
+        for r, f in zip(reports, finer):
+            assert r.params["quad_converged"] is True
+            assert abs(r.lhs - f) <= r.params["quad_error"], r.params
+
+    def test_orthogonality_claim_bounds_twice_the_size(self):
+        reports = run_suite("orthogonality")
+        finer = _twice_the_size(
+            reports, lambda x: legendre_p_sequence(30, x) ** 2)
+        for r, f in zip(reports, finer):
+            assert r.params["quad_converged"] is True
+            assert r.params["quad_evals"] == 121
+            assert abs(r.lhs - f) <= r.params["quad_error"], r.params
+
+    def test_suite_rows_within_claim_of_single_calls(self):
+        # the suites integrate every order in one call on one rule; a
+        # single report takes the rule sized for its own order
+        for r in run_suite("stratton"):
+            p = r.params
+            one = verify_stratton_integral(p["n"], p["omega"], p["z"],
+                                           p["rho"])
+            assert one.rhs == r.rhs
+            assert abs(one.lhs - r.lhs) <= p["quad_error"], p
+        for r in run_suite("orthogonality"):
+            one = legendre_orthogonality(r.params["n"])
+            assert abs(one.lhs - r.lhs) <= r.params["quad_error"]
+
+    def test_one_call_per_point(self, monkeypatch):
+        # one P_n table per (omega, z, rho) for all 13 orders, and one
+        # for all 31 norms, each on the nodes of one rule
+        calls = []
+
+        def counting(n_max, x):
+            calls.append((n_max, np.shape(x)))
+            return legendre_p_sequence(n_max, x)
+
+        monkeypatch.setattr(idn, "legendre_p_sequence", counting)
+        run_suite("stratton")
+        # and one scalar sequence at z/r a point for the rhs
+        assert sorted(set(calls)) == [(12, ()), (12, (59,)), (12, (61,)),
+                                      (12, (65,)), (12, (73,)), (12, (77,)),
+                                      (12, (91,)), (12, (137,))]
+        assert len(calls) == 30
+        calls.clear()
+        run_suite("orthogonality")
+        assert calls == [(30, (121,))]
+
+    def test_high_frequency_converges(self):
+        # omega = 1e3 at (n, z, rho) = (3, 1, 1): 4039 nodes, where the
+        # adaptive K15 took 22,365 evaluations
+        r = verify_stratton_integral(3, 1e3, 1.0, 1.0)
+        _assert_ok(r)
+        assert r.params["quad_converged"] is True
+        assert r.params["quad_evals"] == 2 * (3 + 2000 + 16) + 1
+
+    @pytest.mark.parametrize("omega", [1e5, 1e300])
+    def test_past_the_budget_refused_before_evaluating(self, monkeypatch,
+                                                       omega):
+        # the rule would take about 4e5 nodes (or an infinite number):
+        # refused with nothing evaluated or allocated; the rhs still takes
+        # its scalar P_n(z/r)
+        def never(*args):
+            raise AssertionError("evaluated past the budget")
+
+        def scalar_only(n_max, x):
+            assert np.ndim(x) == 0, "P_n table built past the budget"
+            return legendre_p_sequence(n_max, x)
+
+        monkeypatch.setattr(idn, "bessel_j0", never)
+        monkeypatch.setattr(idn, "legendre_p_sequence", scalar_only)
+        t0 = time.perf_counter()
+        r = verify_stratton_integral(3, omega, 1.0, 1.0)
+        assert time.perf_counter() - t0 < 0.05
+        assert r.ok is False
+        assert r.params["quad_converged"] is False
+        assert r.params["quad_evals"] == 0
+        json.dumps(r.to_json_dict(), allow_nan=False)
+
+    def test_table_past_the_budget_refused(self, monkeypatch):
+        # P_0 .. P_1024 on 4097 nodes would pass 2^22 entries; 1023 fits
+        monkeypatch.setattr(idn, "legendre_p_sequence",
+                            lambda *args: pytest.fail("table built"))
+        r = legendre_orthogonality(1024)
+        assert r.params["quad_converged"] is False
+        assert r.params["quad_evals"] == 0
+        assert (1023 + 1) * (4 * 1023 + 1) <= idn._CC_TABLE
+
+    def test_order_400_passes(self):
+        # the adaptive K15 took 1.5 s and 18,645 evaluations here
+        r = legendre_orthogonality(400)
+        _assert_ok(r)
+        assert r.params["quad_evals"] == 1601
+
+    def test_weights_exact_on_polynomials(self):
+        # the rule of size m integrates every polynomial of degree <= m
+        for n in (2, 3, 7, 40):
+            nodes, fine, coarse = idn._cc_rule(n)
+            for m, w, x in ((2 * n, fine, nodes), (n, coarse, nodes[::2])):
+                for d in range(m + 1):
+                    exact = 2.0 / (d + 1) if d % 2 == 0 else 0.0
+                    assert abs(w @ x ** d - exact) <= 1e-15, (n, m, d)
+
+    def test_import_builds_no_table(self):
+        # the rules are built on first use, never at import
+        src = Path(idn.__file__).resolve().parent.parent
+        code = ("import beamkit.identities as i; "
+                "print(i._cc_rule.cache_info().currsize)")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src)})
+        assert out.stdout.strip() == "0"
 
 
 class TestDeltaKernel:

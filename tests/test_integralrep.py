@@ -344,6 +344,37 @@ class TestConvergenceReporting:
         assert res.converged is False
         assert res.n_evals == 0
 
+    def test_refused_ray_layout_stops_early(self, monkeypatch):
+        # omega = 1.5e6: 2283 panels are left after the segment, and the
+        # down ray alone would take 69,402 before the refusal.  Each ray
+        # stops as soon as it passes what is left
+        panels = []
+        edges = oscquad._ray_edges
+
+        def counting(*args):
+            out = edges(*args)
+            panels.append(len(out) - 1)
+            return out
+
+        monkeypatch.setattr(oscquad, "_ray_edges", counting)
+        b = BeamParams(omega=1.5e6, cos_theta=0.0)
+        p = FieldPoint(z=1.0, rho=3.7, t=0.0)
+        t0 = time.perf_counter()
+        res = eval_integral_rep(b, p)
+        assert time.perf_counter() - t0 < 0.05
+        assert res.converged is False
+        assert res.n_evals == 0
+        assert sum(panels) <= 2283 + 1
+
+    def test_ray_limit_keeps_accepted_layouts(self):
+        # a limit at or past a ray's own panel count changes no edge; one
+        # under it ends the layout one panel past the limit
+        ray = (7.0, 2.25, 0.2)
+        full = _ray_edges(*ray)
+        k = len(full) - 1
+        assert _ray_edges(*ray, k) == full
+        assert _ray_edges(*ray, k - 3) == full[:k - 1]
+
     def test_converged_is_plain_bool(self):
         b = BeamParams(omega=2.0, cos_theta=0.5)
         res = eval_integral_rep(b, FieldPoint(0.5, 0.9, 0.0))
@@ -494,6 +525,25 @@ class TestClaimAgainstMpmath:
         assert abs(res.value - direct) > res.error_estimate
         assert abs(res.value - exact) <= res.error_estimate
         assert abs(direct - exact) > abs(res.value - exact)
+
+    def test_claim_covers_rounded_phase_at_beta_zero(self):
+        # beta = 0 and mu of about 22,000: mu and m reach the quadrature
+        # rounded, and the claim (5.80e-12 without their share) fell just
+        # under the 5.89e-12 the value lies off the 40-digit field
+        mp = pytest.importorskip("mpmath")
+        omega, cos_theta = -90.0, 1.0
+        medium = cauchy(1.5, 0.01)
+        z, rho, t = 1.271829391143477, 2.6973428293214976, 0.594218000913449
+        res = eval_integral_rep(BeamParams(omega=omega, cos_theta=cos_theta),
+                                FieldPoint(z=z, rho=rho, t=t), medium=medium)
+        with mp.workdps(40):
+            k = mp.mpf(medium.evaluate(omega)) * mp.mpf(omega)
+            ct = mp.mpf(cos_theta)
+            exact = complex(
+                mp.exp(1j * (k * ct * mp.mpf(z) - mp.mpf(omega) * mp.mpf(t)))
+                * mp.besselj(0, k * mp.sqrt(1 - ct * ct) * mp.mpf(rho)))
+        assert res.converged is True
+        assert abs(res.value - exact) <= res.error_estimate
 
 
 class TestDispersive:
