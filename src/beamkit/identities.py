@@ -64,7 +64,7 @@ from .specfun import (bessel_j0, legendre_p, legendre_p_sequence, spherical_jn,
 from .wavepacket import (ConeAngles, _support_radicand, _xwave_ab,
                          triple_legendre_sum, triple_sum_closed_form,
                          xwave_closed_form)
-from .beamcore import FieldPoint
+from .beamcore import FieldPoint, _sin2
 
 __all__ = [
     "IdentityReport",
@@ -228,7 +228,7 @@ def _stratton_reports(n_lo: int, n_top: int, omega: float, z: float,
         raise ValueError("point at the origin: r must be positive")
 
     def table(al):
-        transverse = omega * np.sqrt((1.0 - al) * (1.0 + al)) * rho
+        transverse = omega * np.sqrt(_sin2(al)) * rho
         kernel = np.exp(1j * omega * z * al) * bessel_j0(transverse)
         return legendre_p_sequence(n_top, al)[n_lo:] * kernel
 
@@ -541,8 +541,7 @@ def bessel_beam_identity(omega_r: float, tol: float = 1e-8) -> IdentityReport:
 
     def integrand(alpha):
         al = np.asarray(alpha, dtype=float)
-        s2 = 1.0 - al * al
-        return bessel_j0(omega_r * s2) * np.exp(1j * omega_r * al * al)
+        return bessel_j0(omega_r * _sin2(al)) * np.exp(1j * omega_r * al * al)
 
     q = integrate_finite(integrand, -1.0, 1.0, tol=0.05 * tol)
 
@@ -740,7 +739,7 @@ def _sample_xwave_points(seed: int, n_interior: int, n_exterior: int):
         ct = float(rng.uniform(-0.95, 0.95))
         z = float(rng.uniform(-2.0, 2.0))
         rho = float(rng.uniform(0.3, 2.5))
-        st = math.sqrt(1.0 - ct * ct)
+        st = math.sqrt(_sin2(ct))
         if i < n_interior:
             u = float(rng.uniform(-0.8, 0.8))
         else:

@@ -47,7 +47,7 @@ import math
 import numpy as np
 
 from .beamcore import (_VACUUM, BeamParams, DispersionModel, FieldPoint,
-                       to_spherical)
+                       _sin2, to_spherical)
 from .oscquad import (QuadratureResult, _check_cell_budget,
                       _segment_and_rays, integrate_oscillatory_infinite)
 from .specfun import _sph_j0
@@ -87,7 +87,7 @@ def _rep_integral(mu: float, cos_theta: float, cos_eta: float, delta: float,
     delta = 1 - |cos_eta| > 0."""
 
     m = mu * cos_theta
-    beta2 = mu * mu * ((1.0 - cos_theta) * (1.0 + cos_theta))
+    beta2 = mu * mu * _sin2(cos_theta)
     if delta < _RAY_BAND:
         # the beat 2 pi / delta is wider than the period 2 pi: below 1/2
         # the engine's half-period cells would not alternate, and up to 3/4

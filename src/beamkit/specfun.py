@@ -73,12 +73,24 @@ def legendre_p(n: int, x):
     """Legendre polynomial P_n(x) for x in [-1, 1], scalar or array.
 
     Bonnet recurrence, exact to rounding.  Arguments within 1e-12 outside
-    the unit interval are clamped; anything further out raises.
+    the unit interval are clamped; anything further out raises.  An array
+    is swept in blocks of about 2^20 / (n + 1) entries, so no table of the
+    sweep passes 8 MiB; columns are independent, so every entry is the one
+    sweep's bit for bit.
     """
+    if type(n) is not int:
+        n = _as_order(n, "Legendre order")
     if n < 0:
         raise ValueError(f"negative degree: n={n}")
-    p = legendre_p_sequence(n, x)[n]
-    return p if np.ndim(x) else float(p)
+    if np.ndim(x) == 0:
+        return float(legendre_p_sequence(n, x)[n])
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    out = np.empty(flat.size)
+    cols = max(1, (1 << 20) // (n + 1))
+    for i in range(0, flat.size, cols):
+        out[i:i + cols] = legendre_p_sequence(n, flat[i:i + cols])[n]
+    return out.reshape(x.shape)
 
 
 def _as_order(n, what: str) -> int:

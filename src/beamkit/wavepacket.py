@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamcore import FieldPoint, to_spherical
+from .beamcore import FieldPoint, _sin2, to_spherical
 from .pwseries import SeriesResult
 from .specfun import legendre_p_sequence
 
@@ -75,16 +75,16 @@ class ConeAngles:
 
     @property
     def sin_theta(self) -> float:
-        return float(np.sqrt(max(0.0, 1.0 - self.cos_theta ** 2)))
+        return math.sqrt(_sin2(self.cos_theta))
 
     @property
     def sin_eta(self) -> float:
-        return float(np.sqrt(max(0.0, 1.0 - self.cos_eta ** 2)))
+        return math.sqrt(_sin2(self.cos_eta))
 
 
 def _support_radicand(a: ConeAngles) -> float:
     d = a.cos_eta * a.cos_theta - a.cos_gamma
-    return float(a.sin_eta ** 2 * a.sin_theta ** 2 - d * d)
+    return float(_sin2(a.cos_eta) * _sin2(a.cos_theta) - d * d)
 
 
 def support_predicate(a: ConeAngles) -> bool:
@@ -94,8 +94,7 @@ def support_predicate(a: ConeAngles) -> bool:
 
 def _xwave_ab(cos_theta: float, p: FieldPoint) -> tuple[float, float]:
     # (sin(theta) rho, t - cos(theta) z); the support is |b| < a
-    st = math.sqrt(max(0.0, 1.0 - cos_theta * cos_theta))
-    return st * p.rho, p.t - cos_theta * p.z
+    return math.sqrt(_sin2(cos_theta)) * p.rho, p.t - cos_theta * p.z
 
 
 def xwave_closed_form(cos_theta: float, p: FieldPoint) -> float:

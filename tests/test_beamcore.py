@@ -1,13 +1,16 @@
 """Core data model and the direct field evaluation."""
 import cmath
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from beamkit.beamcore import (BeamParams, FieldPoint, cauchy, constant,
-                              eval_direct, to_spherical, vacuum)
+from beamkit.beamcore import (BeamParams, FieldPoint, _sin2, cauchy,
+                              constant, eval_direct, to_spherical, vacuum)
+from beamkit.cli import main
+from beamkit.wavepacket import ConeAngles, _xwave_ab
 
 _finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -102,6 +105,77 @@ class TestEvalDirect:
         v = eval_direct(BeamParams(omega=omega, cos_theta=ct),
                         FieldPoint(z=z, rho=rho, t=t))
         assert abs(v) <= 1.0 + 1e-12
+
+
+class TestSinFromCos:
+    # every sine taken from a cosine is sqrt((1 - c)(1 + c)), through the
+    # one helper, at the poles, one ulp inside them, and in between
+    COSINES = [1.0, -1.0, 1.0 - 2.0 ** -52, -(1.0 - 2.0 ** -52), 0.8, -0.8,
+               0.0]
+
+    @pytest.mark.parametrize("c", COSINES)
+    def test_every_sine_is_the_helper_bit_for_bit(self, c):
+        s = math.sqrt(_sin2(c))
+        assert BeamParams(omega=1.0, cos_theta=c).sin_theta == s
+        angles = ConeAngles(cos_theta=c, cos_eta=c, cos_gamma=0.0)
+        assert angles.sin_theta == s and angles.sin_eta == s
+        assert _xwave_ab(c, FieldPoint(z=0.3, rho=1.7, t=0.0))[0] == s * 1.7
+
+    def test_exact_one_ulp_from_the_pole(self):
+        # sin^2 is 2^-52 (2 - 2^-52) exactly, where 1 - c*c rounds c*c
+        # first and gives 2^-51; an array takes the same product
+        c = 1.0 - 2.0 ** -52
+        assert _sin2(c) == 2.0 ** -52 * (2.0 - 2.0 ** -52)
+        assert _sin2(np.array([c, -c, 1.0])).tolist() == \
+            [_sin2(c), _sin2(-c), 0.0]
+
+
+class TestPoleFamily:
+    # 1 - |cos theta| = 10^U(-14, -2), either sign, |omega| <= 3.2e3,
+    # where sin theta as sqrt(1 - c*c) puts eval_direct up to 1e-9 off
+    # the field.  The field's bound leaves room for the phase's rounding,
+    # about eps |omega cos theta z|; the modulus |J_0| carries none of it
+    N = 100
+
+    def _draws(self):
+        rng = np.random.default_rng(14)
+        gap = 10.0 ** rng.uniform(-14.0, -2.0, self.N)
+        cos_theta = rng.choice([-1.0, 1.0], self.N) * (1.0 - gap)
+        omega = rng.uniform(-3.2e3, 3.2e3, self.N)
+        z = rng.uniform(-3.0, 3.0, self.N)
+        rho = rng.uniform(0.0, 5.0, self.N)
+        t = rng.uniform(-2.0, 2.0, self.N)
+        return zip(*(a.tolist() for a in (cos_theta, omega, z, rho, t)))
+
+    def test_direct_against_40_digit_field(self):
+        mp = pytest.importorskip("mpmath")
+        worst_field = worst_modulus = 0.0
+        for cos_theta, omega, z, rho, t in self._draws():
+            v = eval_direct(BeamParams(omega=omega, cos_theta=cos_theta),
+                            FieldPoint(z=z, rho=rho, t=t))
+            with mp.workdps(40):
+                k, ct = mp.mpf(omega), mp.mpf(cos_theta)
+                j0 = mp.besselj(0, k * mp.sqrt(1 - ct * ct) * mp.mpf(rho))
+                exact = complex(mp.exp(1j * (k * ct * mp.mpf(z)
+                                             - k * mp.mpf(t))) * j0)
+                modulus = float(abs(j0))
+            worst_field = max(worst_field, abs(v - exact))
+            worst_modulus = max(worst_modulus, abs(abs(v) - modulus))
+        assert worst_field <= 2e-12
+        assert worst_modulus <= 5e-14
+
+
+def test_readme_direct_rows_z_minus1_0_1_bit_for_bit(tmp_path):
+    # the README direct map's rows z = -1, 0 and 1, as ``beamkit map``
+    # writes them: 123 points, the axis among them.  Any change to a J_0
+    # bit, a phase or sin theta shows here as a new digest
+    out = tmp_path / "rows.csv"
+    assert main(["map", "--rep", "direct", "--omega", "6",
+                 "--cos-theta", "0.8", "--z-min", "-1", "--z-max", "1",
+                 "--z-steps", "3", "--rho-min", "0", "--rho-max", "4",
+                 "--rho-steps", "41", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "a0a0bf0df9b7034096ee14d25a73ddae3bd90f0a3635edaf6d92487c1dab6a3d")
 
 
 class TestDispersion:

@@ -294,11 +294,11 @@ class TestVerify:
         ("planewave",
          "a0aed41897833c27c1eb8fd71115a6f3aba882bbb408854edca2f3349f20b4d2"),
         ("beamidentity",
-         "dc1127c483a3480c23299a257dfcb908c6be048b7635818667fff2f70c203b28"),
+         "001d87298330f9f34161d878a413b80c895e9f627dcf141fd239d7bed09edca1"),
         ("hochstadt",
          "a24daaac650ce1aabd3fd34e4998ee9ea9a5a9927c5dfdd1265acd7160fc32e7"),
         ("triplesum",
-         "b9c4b22913e7c9f97ff242981d3bbacf6b92696f570ffe8b005122f1970411b5"),
+         "37eab7e41c5f0336c03a7aa7eb3f9cb2078c09a58f1c8e76a955ae39601adb35"),
         ("orthogonality",
          "754d163bc0f6506090aa7c0fee5aba246de11c0e2327da47468f67fc23afd935"),
         ("stratton",

@@ -6,6 +6,7 @@ hard-coded here so the tests stay dependency-free.
 """
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -121,6 +122,29 @@ class TestLegendre:
             legendre_p(3, x)
         with pytest.raises(ValueError):
             legendre_p_sequence(3, x)
+
+    def test_array_in_blocks_is_one_sweep(self):
+        # at n = 1000 a block holds 1047 entries, so 3000 entries take
+        # three sweeps; each entry is the one-sweep entry, and the shape
+        # is kept
+        x = np.linspace(-1.0, 1.0, 3000)
+        assert legendre_p(1000, x).tobytes() == \
+            legendre_p_sequence(1000, x)[1000].tobytes()
+        assert legendre_p(1000, x.reshape(3, 1000)).tobytes() == \
+            legendre_p(1000, x).tobytes()
+        assert legendre_p(3, np.zeros((0, 2))).shape == (0, 2)
+
+    def test_array_memory_bounded(self):
+        # one sweep over all 10,000 entries peaked at 153 MiB under
+        # tracemalloc; a block's table stays under 8 MiB
+        x = np.linspace(-1.0, 1.0, 10_000)
+        tracemalloc.start()
+        try:
+            legendre_p(1000, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2 ** 20
 
     def test_array_rows_match_scalar_sequences_bitwise(self):
         xs = np.concatenate([np.linspace(-1.0, 1.0, 201),
