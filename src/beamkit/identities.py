@@ -30,34 +30,35 @@ The checks:
   checks against the closed forms and an eps-extrapolated regularized
   Fourier oracle.
 
-The Stratton and orthogonality integrands are entire on [-1, 1], so a
-fixed polynomial rule converges geometrically once its size passes their
-bandwidth (Trefethen, SIAM Rev. 50 (2008) 67-87).  Both take one
-Clenshaw-Curtis rule, ``_clenshaw_curtis``: the integrand is evaluated
-once on the 2N + 1 nodes -cos(k pi / 2N), the value is that rule's, and
-the claim is its distance to the rule of size N, whose nodes are the
-even-indexed ones, plus a rounding floor of 64 eps sum(w |f|).  N comes
-from the integrand: n + |omega| (|z| + rho) + 16 for Stratton's P_n
-against the beam kernel, 2n for P_n^2, where both rules are exact.  The
-weights are built from one FFT on first use and kept in a bounded cache,
-never at import.  A rule of more than 60015 nodes (the cost of
-``integrate_finite``'s 2000 bisections), or a table of more than 2^22
-orders times nodes, is refused before anything is evaluated or
-allocated, and its reports come back with ``quad_converged`` False.
-Each suite makes one call per point for all its orders; a single report
-is the same call up to its own order.  ``bessel_beam_identity`` keeps
-the adaptive ``integrate_finite``.
+The Stratton, orthogonality and beam-identity integrands are entire on
+[-1, 1], so a polynomial rule converges geometrically once its size
+passes their bandwidth (Trefethen, SIAM Rev. 50 (2008) 67-87).  All take
+``oscquad``'s one Clenshaw-Curtis rule: the integrand is evaluated once
+on the 2N + 1 nodes -cos(k pi / 2N), the value is that rule's, and the
+claim is its distance to the rule of size N, whose nodes are the
+even-indexed ones, plus a rounding floor of 64 eps sum(w |f|).
+Stratton and orthogonality take one rule sized from the integrand,
+through ``_clenshaw_curtis``: N = n + |omega| (|z| + rho) + 16 for P_n
+against the beam kernel, 2n for P_n^2, where both rules are exact.  A
+rule of more than 60015 nodes, or a table of more than 2^22 orders times
+nodes, is refused before anything is evaluated or allocated, and its
+reports come back with ``quad_converged`` False.  Each suite makes one
+call per point for all its orders; a single report is the same call up
+to its own order.  ``bessel_beam_identity`` takes ``integrate_finite``,
+which doubles N from 8 until the claim is under its tolerance, and the
+norms of its second route, like ``delta_kernel_test``, from a fixed rule
+exact for their degree.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .oscquad import (QuadratureResult, _segment_and_rays, integrate_finite,
-                      integrate_oscillatory_infinite, regularized_j0_fourier)
+from .oscquad import (_cc_rule, _clenshaw_curtis, _segment_and_rays,
+                      integrate_finite, integrate_oscillatory_infinite,
+                      regularized_j0_fourier)
 from .pwseries import _I_POWERS, truncation_order
 from .specfun import (bessel_j0, legendre_p, legendre_p_sequence, spherical_jn,
                       spherical_jn_sequence)
@@ -154,66 +155,6 @@ def _jn_signed(n: int, lam) -> np.ndarray:
 # Finite-interval identities
 # ----------------------------------------------------------------------------
 
-# most nodes of a Clenshaw-Curtis rule: the cost of integrate_finite's
-# 2000 bisections
-_CC_NODES = 60015
-# most entries of the (rows, nodes) table of a Clenshaw-Curtis call
-_CC_TABLE = 1 << 22
-# the rounding floor of a claim, per unit of sum(w |f|)
-_CC_FLOOR = 64.0 * float(np.finfo(float).eps)
-# the claim of a refused rule
-_FLOAT_MAX = float(np.finfo(float).max)
-
-
-@functools.lru_cache(maxsize=32)
-def _cc_rule(n: int):
-    """The Clenshaw-Curtis rule of size 2n on [-1, 1]: its 2n + 1 nodes
-    -cos(k pi / 2n), ascending, its weights, and the weights of the rule
-    of size n, whose nodes are the even-indexed ones.  Weights from one
-    FFT each (Waldvogel, BIT 46 (2006) 195-202)."""
-    def weights(m):
-        odd = np.arange(1, m, 2)
-        v = np.zeros(m + 1)
-        v[:odd.size] = 2.0 / (odd * (odd - 2.0))
-        v[odd.size] = 1.0 / odd[-1]
-        g = np.full(m, -1.0)
-        g[odd.size] += m
-        g[m - odd.size] += m
-        w = np.fft.ifft(g / (m * m - 1 + m % 2) - v[:-1] - v[:0:-1]).real
-        return np.append(w, w[0])
-
-    k = np.arange(2 * n + 1)
-    # sin of the angle off the middle node: exactly odd about it
-    out = (np.sin(np.pi * (k - n) / (2 * n)), weights(2 * n), weights(n))
-    for a in out:
-        a.setflags(write=False)
-    return out
-
-
-def _clenshaw_curtis(f, orders: range, size: float, tol: float) -> list:
-    """One QuadratureResult per order in ``orders``: the integral over
-    [-1, 1] of its row of the table f(nodes), on the rule of size 2N,
-    N = ceil(size) but at least 2, with the claim of the module docstring
-    and n_evals = 2N + 1.  f may build the rows of every order from 0 up.
-    Past ``_CC_NODES`` nodes, or past ``_CC_TABLE`` orders times nodes,
-    f is not called and every row comes back converged=False with
-    n_evals = 0.
-    """
-    # size first, as a float: an infinite one has no ceiling
-    n = max(2, math.ceil(size)) if size <= _CC_NODES // 2 else _CC_NODES
-    if 2 * n + 1 > _CC_NODES or (orders[-1] + 1) * (2 * n + 1) > _CC_TABLE:
-        return [QuadratureResult(value=0j, error_estimate=_FLOAT_MAX,
-                                 n_evals=0, converged=False)] * len(orders)
-    nodes, w_fine, w_coarse = _cc_rule(n)
-    fx = f(nodes)
-    value = fx @ w_fine
-    err = np.abs(fx[:, ::2] @ w_coarse - value) \
-        + _CC_FLOOR * (np.abs(fx) @ w_fine)
-    return [QuadratureResult(value=complex(v), error_estimate=float(e),
-                             n_evals=2 * n + 1, converged=bool(e <= tol))
-            for v, e in zip(value.tolist(), err.tolist())]
-
-
 def _stratton_reports(n_lo: int, n_top: int, omega: float, z: float,
                       rho: float, tol: float) -> list:
     # the reports of orders n_lo .. n_top at one (omega, z, rho), from one
@@ -236,12 +177,12 @@ def _stratton_reports(n_lo: int, n_top: int, omega: float, z: float,
     size = n_top + abs(omega) * (abs(z) + rho) + 16.0
     orders = range(n_lo, n_top + 1)
     pz = legendre_p_sequence(n_top, z / r)
+    jr = spherical_jn_sequence(n_top, abs(omega) * r)
     out = []
     for n, q in zip(orders, _clenshaw_curtis(table, orders, size,
                                              0.1 * tol)):
         sgn = -1.0 if (omega < 0 and n % 2 == 1) else 1.0
-        rhs = 2.0 * _I_POWERS[n % 4] * pz[n] * sgn \
-            * spherical_jn(n, abs(omega) * r)
+        rhs = 2.0 * _I_POWERS[n % 4] * pz[n] * sgn * jr[n]
         params = {"n": n, "omega": float(omega), "z": float(z),
                   "rho": float(rho), "quad_error": q.error_estimate,
                   "quad_evals": q.n_evals, "quad_converged": q.converged}
@@ -274,7 +215,8 @@ def delta_kernel_test(cos_theta0: float, n_max: int, test_fn,
     """Smoothing of a test function by the truncated delta kernel.
 
     lhs integrates sum_{n<=n_max} (n+1/2) P_n(cos_theta0) P_n(a) f(a) over
-    [-1, 1] by Gauss-Legendre exact for the kernel's degree; rhs is
+    [-1, 1] on the Clenshaw-Curtis rule of size 2 n_max + 128, exact for
+    the kernel times any f of degree up to n_max + 128; rhs is
     f(cos_theta0).  The kernel converges distributionally, so the declared
     tolerance scales as tol_constant / n_max.
     """
@@ -286,7 +228,7 @@ def delta_kernel_test(cos_theta0: float, n_max: int, test_fn,
     # against the P_n(nodes) table
     spectrum = ((np.arange(n_max + 1) + 0.5)
                 * legendre_p_sequence(n_max, cos_theta0))
-    nodes, weights = np.polynomial.legendre.leggauss(n_max + 64)
+    nodes, weights, _ = _cc_rule(n_max + 64)
     kern = spectrum @ legendre_p_sequence(n_max, nodes)
     fvals = np.array([float(test_fn(float(t))) for t in nodes])
     lhs = float(np.sum(weights * kern * fvals))
@@ -294,7 +236,7 @@ def delta_kernel_test(cos_theta0: float, n_max: int, test_fn,
     tol = tol_constant / n_max
     params = {"cos_theta0": float(cos_theta0), "n_max": n_max,
               "tol_constant": float(tol_constant),
-              "quad_nodes": int(n_max + 64)}
+              "quad_nodes": nodes.size}
     return _report("delta_kernel", params, lhs, rhs, tol)
 
 
@@ -530,11 +472,13 @@ def bessel_beam_identity(omega_r: float, tol: float = 1e-8) -> IdentityReport:
     """Cone integral of the beam equals 2 sum i^n j_n(omega r).
 
     lhs = int_{-1}^{1} J_0(wr (1-a^2)) exp(i wr a^2) da with a = cos(theta),
-    rhs = sum_n 2 i^n j_n(wr).  A second route for the rhs, weighting each
-    order by (n+1/2) times its P_n norm from one Gauss-Legendre rule with
-    n_max + 1 nodes (exact for every P_n^2 up to n_max), is recorded in
-    params; the two routes collapse to the same number because the norm
-    integral is exactly 1/(n+1/2).
+    rhs = sum_n 2 i^n j_n(wr).  The lhs is ``integrate_finite``'s; its
+    integrand is entire, so the nested Clenshaw-Curtis rules converge
+    geometrically.  A second route for the rhs, weighting each order by
+    (n+1/2) times its P_n norm from the Clenshaw-Curtis rule of size
+    2 n_max (exact for every P_n^2 up to n_max), is recorded in params;
+    the two routes collapse to the same number because the norm integral
+    is exactly 1/(n+1/2).
     """
     if omega_r < 0:
         raise ValueError(f"omega_r must be nonnegative: {omega_r!r}")
@@ -553,7 +497,7 @@ def bessel_beam_identity(omega_r: float, tol: float = 1e-8) -> IdentityReport:
     rhs = complex(np.sum(terms))
 
     # route B: fold each order through its quadrature-evaluated norm
-    nodes, weights = np.polynomial.legendre.leggauss(n_max + 1)
+    nodes, weights, _ = _cc_rule(n_max)
     norms = legendre_p_sequence(n_max, nodes) ** 2 @ weights
     route_b = complex(np.sum(terms * (orders + 0.5) * norms))
 

@@ -294,7 +294,7 @@ class TestVerify:
         ("planewave",
          "a0aed41897833c27c1eb8fd71115a6f3aba882bbb408854edca2f3349f20b4d2"),
         ("beamidentity",
-         "001d87298330f9f34161d878a413b80c895e9f627dcf141fd239d7bed09edca1"),
+         "f02cc21592054270418727e9cc2b57427686edc12a99c349bd2d977af320769d"),
         ("hochstadt",
          "a24daaac650ce1aabd3fd34e4998ee9ea9a5a9927c5dfdd1265acd7160fc32e7"),
         ("triplesum",
@@ -302,7 +302,7 @@ class TestVerify:
         ("orthogonality",
          "754d163bc0f6506090aa7c0fee5aba246de11c0e2327da47468f67fc23afd935"),
         ("stratton",
-         "72bb712669ed27def4c1d515e9c032969dd6775fdf7826d7837d502389f96012"),
+         "a0e405a3f75e95a71a3744af43fa7f57967c2d1d3a4235e6b20d38cfca86a03a"),
     ])
     def test_jn_integrand_suites_bit_for_bit(self, suite, digest, tmp_path,
                                              capsys):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import beamkit.identities as idn
+import beamkit.oscquad as oq
 import beamkit.wavepacket as wp
 from beamkit.beamcore import FieldPoint
 from beamkit.identities import (SUITE_NAMES, bessel_beam_identity,
@@ -75,7 +76,7 @@ def _twice_the_size(reports, rows):
     # reports of one call share a rule of quad_evals = 2N + 1 nodes, so
     # this rule has 4N + 1
     n = (reports[0].params["quad_evals"] - 1) // 2
-    nodes, weights, _ = idn._cc_rule(2 * n)
+    nodes, weights, _ = oq._cc_rule(2 * n)
     return rows(nodes) @ weights
 
 
@@ -105,14 +106,54 @@ class TestClenshawCurtis:
             assert r.params["quad_evals"] == 121
             assert abs(r.lhs - f) <= r.params["quad_error"], r.params
 
+    def test_beamidentity_claim_bounds_twice_the_size(self):
+        # integrate_finite doubles 2N from 16 and stops at the first rule
+        # whose claim is under tol; from that rule's size, quad_evals
+        # counts the nodes of every rule run
+        for r in run_suite("beamidentity"):
+            p = r.params
+            n, evals = 8, 2 * 8 + 1
+            while evals < p["quad_evals"]:
+                n *= 2
+                evals += 2 * n + 1
+            assert evals == p["quad_evals"] and p["quad_converged"] is True
+            nodes, weights, _ = oq._cc_rule(2 * n)
+            wr = p["omega_r"]
+            finer = (bessel_j0(wr * (1.0 - nodes) * (1.0 + nodes))
+                     * np.exp(1j * wr * nodes * nodes)) @ weights
+            assert abs(r.lhs - finer) <= p["quad_error"], p
+
+    def test_beamidentity_norms_within_ulps(self):
+        # route B weights order n by (n + 1/2) times its P_n norm on the
+        # rule of size 2 n_max, exact for P_n^2 up to n_max: each norm is
+        # off by no more than the P_n table's own rounding, a few eps per
+        # order (Gauss-Legendre with n_max + 1 nodes was up to 342 eps off
+        # at n_max = 69)
+        eps = np.finfo(float).eps
+        for r in run_suite("beamidentity"):
+            p = r.params
+            n_max = p["n_terms"] - 1
+            nodes, weights, _ = oq._cc_rule(n_max)
+            norms = legendre_p_sequence(n_max, nodes) ** 2 @ weights
+            orders = np.arange(n_max + 1)
+            assert np.all(np.abs(norms * (orders + 0.5) - 1.0)
+                          <= 4 * (orders + 1) * eps)
+            terms = (2.0 * np.array([1, 1j, -1, -1j])[orders % 4]
+                     * spherical_jn_sequence(n_max, p["omega_r"]))
+            route_b = complex(np.sum(terms * (orders + 0.5) * norms))
+            assert (route_b.real, route_b.imag) == (p["route_b_re"],
+                                                    p["route_b_im"])
+
     def test_suite_rows_within_claim_of_single_calls(self):
         # the suites integrate every order in one call on one rule; a
-        # single report takes the rule sized for its own order
+        # single report takes the rule sized for its own order.  Its rhs
+        # reads j_n from a table that ends at its own order, the suite's
+        # from one to order 12, so they agree to rounding
         for r in run_suite("stratton"):
             p = r.params
             one = verify_stratton_integral(p["n"], p["omega"], p["z"],
                                            p["rho"])
-            assert one.rhs == r.rhs
+            assert abs(one.rhs - r.rhs) <= 1e-15, p
             assert abs(one.lhs - r.lhs) <= p["quad_error"], p
         for r in run_suite("orthogonality"):
             one = legendre_orthogonality(r.params["n"])
@@ -176,7 +217,7 @@ class TestClenshawCurtis:
         r = legendre_orthogonality(1024)
         assert r.params["quad_converged"] is False
         assert r.params["quad_evals"] == 0
-        assert (1023 + 1) * (4 * 1023 + 1) <= idn._CC_TABLE
+        assert (1023 + 1) * (4 * 1023 + 1) <= oq._CC_TABLE
 
     def test_order_400_passes(self):
         # the adaptive K15 took 1.5 s and 18,645 evaluations here
@@ -187,7 +228,7 @@ class TestClenshawCurtis:
     def test_weights_exact_on_polynomials(self):
         # the rule of size m integrates every polynomial of degree <= m
         for n in (2, 3, 7, 40):
-            nodes, fine, coarse = idn._cc_rule(n)
+            nodes, fine, coarse = oq._cc_rule(n)
             for m, w, x in ((2 * n, fine, nodes), (n, coarse, nodes[::2])):
                 for d in range(m + 1):
                     exact = 2.0 / (d + 1) if d % 2 == 0 else 0.0
@@ -195,9 +236,9 @@ class TestClenshawCurtis:
 
     def test_import_builds_no_table(self):
         # the rules are built on first use, never at import
-        src = Path(idn.__file__).resolve().parent.parent
-        code = ("import beamkit.identities as i; "
-                "print(i._cc_rule.cache_info().currsize)")
+        src = Path(oq.__file__).resolve().parent.parent
+        code = ("import beamkit.identities, beamkit.oscquad as q; "
+                "print(q._cc_rule.cache_info().currsize)")
         out = subprocess.run([sys.executable, "-c", code], check=True,
                              capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": str(src)})
@@ -387,7 +428,7 @@ class TestBeamIdentity:
 
     @pytest.mark.parametrize("omega_r", [10.0, 40.0, 160.0])
     def test_series_routes_agree(self, omega_r):
-        # the tail-extended series and the Gauss-Legendre norm route must
+        # the tail-extended series and the Clenshaw-Curtis norm route must
         # agree independently of the integral, past n = 200 too
         r = bessel_beam_identity(omega_r)
         _assert_ok(r)

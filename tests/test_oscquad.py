@@ -1,5 +1,5 @@
-"""Quadrature engines: finite adaptive rule, oscillatory line integrals,
-and the regularized Fourier closed form."""
+"""Quadrature engines: nested Clenshaw-Curtis rules, oscillatory line
+integrals, and the regularized Fourier closed form."""
 import cmath
 import math
 
@@ -45,7 +45,7 @@ class TestFinite:
         assert r.value == pytest.approx(2.0 * math.sin(5.0) / 5.0, abs=1e-12)
 
     def test_polynomial_exactness(self):
-        # inside the embedded rule degree a single panel is exact
+        # once N >= deg both rules of a claim, N and 2N, are exact
         for deg, exact in ((8, 2.0 / 9.0), (12, 2.0 / 13.0)):
             r = integrate_finite(lambda a, d=deg: np.asarray(a) ** d,
                                  -1, 1, tol=1e-10)
@@ -55,7 +55,7 @@ class TestFinite:
         r = integrate_finite(lambda a: np.cos(40.0 * np.asarray(a)), 0, 1,
                              tol=1e-12)
         assert r.value.real == pytest.approx(math.sin(40.0) / 40.0, abs=1e-12)
-        assert r.n_evals > 15
+        assert r.n_evals > 17
 
     @given(c=st.floats(-50.0, 50.0))
     @settings(max_examples=40, deadline=None)
@@ -93,13 +93,13 @@ class TestFinite:
             integrate_finite(f, 0.0, 1.0, tol=tol)
         assert f.sizes == []
 
-    def test_one_call_per_bisection(self):
+    def test_one_call_per_rule(self):
         f = _Counting(lambda a: np.cos(40.0 * a))
         r = integrate_finite(f, 0, 1, tol=1e-12)
-        assert r.n_evals > 15
-        # the first panel, then both children of each bisection at once
-        assert len(f.sizes) == 1 + (r.n_evals - 15) // 30
-        assert f.sizes == [15] + [30] * (len(f.sizes) - 1)
+        # the rules of sizes 16, 32, 64, ..., each on all its nodes
+        assert len(f.sizes) > 1
+        assert f.sizes == [16 * 2 ** k + 1 for k in range(len(f.sizes))]
+        assert r.n_evals == sum(f.sizes)
 
     def test_empty_interval_makes_no_call(self):
         f = _Counting(np.exp)
@@ -108,23 +108,44 @@ class TestFinite:
         assert f.sizes == []
 
     def test_rounding_floor_past_tol_stops_at_once(self):
-        # the first panel's rounding floor, 50 eps resabs (about 9.5e-13),
-        # is already past tol: no bisection could meet it
+        # the first rule's rounding floor, 64 eps sum(w |f|) (about
+        # 1.2e-12), is already past tol: no larger rule could meet it
         f = _Counting(lambda a: 50.0 * np.exp(a))
         r = integrate_finite(f, 0.0, 1.0, tol=1e-13)
         assert r.converged is False
-        assert r.n_evals == 15 and f.sizes == [15]
+        assert r.n_evals == 17 and f.sizes == [17]
         assert r.error_estimate > 1e-13
         assert abs(r.value - 50.0 * (math.e - 1.0)) <= r.error_estimate
 
-    def test_rounding_resolution_stops_bisection(self):
-        # the midpoint of two adjacent doubles is one of them: the panel
-        # cannot be split, so its error stays and no call follows the first
+    def test_rounding_resolution_stops_at_once(self):
+        # two adjacent doubles: the floor of the first rule is past any
+        # tol a larger one could meet, so no call follows the first
         f = _Counting(np.exp)
         r = integrate_finite(f, 1.0, math.nextafter(1.0, 2.0), tol=1e-300)
         assert not r.converged
-        assert r.n_evals == 15
-        assert f.sizes == [15]
+        assert r.n_evals == 17
+        assert f.sizes == [17]
+        # mid + half * t rounds to 1 - eps/2 for some t < 0: clipped
+        assert np.all((f.calls[0] >= 1.0)
+                      & (f.calls[0] <= math.nextafter(1.0, 2.0)))
+
+    def test_jump_flagged_at_the_largest_rule(self):
+        # a jump is not resolved by any polynomial rule: the call runs
+        # through every size up to 2N = 2^15 and comes back flagged, with
+        # a claim that still covers its error
+        f = _Counting(np.sign)
+        r = integrate_finite(f, -1.0, 1.3, tol=1e-10)
+        assert r.converged is False
+        assert f.sizes[-1] == 2 ** 15 + 1
+        assert r.n_evals == sum(f.sizes) == 65532
+        assert abs(r.value - 0.3) <= r.error_estimate
+
+    def test_fast_oscillation_converges(self):
+        # cos(1e4 x): the rule of size 2N = 2^13 resolves it, where the
+        # bisection was refused after 60,015 evaluations
+        r = integrate_finite(lambda a: np.cos(1e4 * a), 0.0, 1.0, tol=1e-10)
+        assert r.converged
+        assert abs(r.value - math.sin(1e4) / 1e4) <= r.error_estimate
 
 
 def _jn_even(n):

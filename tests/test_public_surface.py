@@ -44,18 +44,33 @@ def test_deleted_names_stay_gone(name):
 
 
 def test_engine_has_no_beat_hint():
-    # slow beats go up vertical rays; the engine keeps half-period cells
-    from beamkit.oscquad import integrate_oscillatory_infinite
+    # slow beats go up vertical rays; the engine keeps half-period cells.
+    # Finite intervals take one rule, nested Clenshaw-Curtis: no bisection
+    # budget, no heap and no Gauss-Legendre table anywhere in the package
+    from beamkit.oscquad import (integrate_finite,
+                                 integrate_oscillatory_infinite)
     params = inspect.signature(integrate_oscillatory_infinite).parameters
     assert "beat_hint" not in params
+    assert "max_subdivisions" not in inspect.signature(
+        integrate_finite).parameters
+    for path in Path(beamkit.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        imported = {alias.name for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for alias in node.names}
+        assert "heapq" not in imported, path.name
+        assert not any(isinstance(node, ast.Attribute)
+                       and node.attr == "leggauss"
+                       for node in ast.walk(tree)), path.name
 
 
 @pytest.mark.parametrize("name,allowed", [
     ("integralrep", {"_check_cell_budget", "_segment_and_rays"}),
-    ("identities", {"_segment_and_rays"})])
+    ("identities", {"_segment_and_rays", "_clenshaw_curtis", "_cc_rule"})])
 def test_private_oscquad_imports(name, allowed):
-    # the segment-and-rays quadrature has one copy, in oscquad: its callers
-    # pass an integrand and a layout, and borrow no table or constant
+    # the segment-and-rays quadrature and the Clenshaw-Curtis rule have one
+    # copy each, in oscquad: their callers pass an integrand and a layout
+    # or a size, and borrow no other table or constant
     path = Path(beamkit.__file__).parent / f"{name}.py"
     private = {alias.name
                for node in ast.walk(ast.parse(path.read_text()))
