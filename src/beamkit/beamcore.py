@@ -44,6 +44,13 @@ def _sin2(c):
     return (1.0 - c) * (1.0 + c)
 
 
+def _check_cosine(c, what: str) -> None:
+    """Refuse a cosine outside [-1, 1], NaN included: the package's one
+    check of one (``specfun`` clamps its own Legendre arguments)."""
+    if not abs(c) <= 1.0:
+        raise ValueError(f"{what} outside [-1, 1]: {c!r}")
+
+
 @dataclass(frozen=True)
 class FieldPoint:
     """Cylindrical space-time point: axial z, transverse rho >= 0, time t."""
@@ -85,8 +92,7 @@ class BeamParams:
     def __post_init__(self):
         if not np.isfinite(self.omega):
             raise ValueError(f"omega must be finite: {self.omega!r}")
-        if not abs(self.cos_theta) <= 1.0:
-            raise ValueError(f"cos_theta outside [-1, 1]: {self.cos_theta!r}")
+        _check_cosine(self.cos_theta, "cos_theta")
 
     @property
     def sin_theta(self) -> float:

@@ -60,12 +60,12 @@ from .oscquad import (_cc_rule, _clenshaw_curtis, _segment_and_rays,
                       integrate_finite, integrate_oscillatory_infinite,
                       regularized_j0_fourier)
 from .pwseries import _I_POWERS, truncation_order
-from .specfun import (bessel_j0, legendre_p, legendre_p_sequence, spherical_jn,
-                      spherical_jn_sequence)
+from .specfun import (_as_order, bessel_j0, legendre_p, legendre_p_sequence,
+                      spherical_jn, spherical_jn_sequence)
 from .wavepacket import (ConeAngles, _support_radicand, _xwave_ab,
                          triple_legendre_sum, triple_sum_closed_form,
                          xwave_closed_form)
-from .beamcore import FieldPoint, _sin2
+from .beamcore import FieldPoint, _check_cosine, _sin2
 
 __all__ = [
     "IdentityReport",
@@ -159,8 +159,7 @@ def _stratton_reports(n_lo: int, n_top: int, omega: float, z: float,
                       rho: float, tol: float) -> list:
     # the reports of orders n_lo .. n_top at one (omega, z, rho), from one
     # Clenshaw-Curtis call on the rows P_0 .. P_n_top
-    if n_lo < 0:
-        raise ValueError(f"negative order: n={n_lo}")
+    n_lo = _as_order(n_lo, "order n")
     if not (math.isfinite(omega) and math.isfinite(z) and 0 <= rho < math.inf):
         raise ValueError("omega and z must be finite, rho finite and "
                          f"nonnegative: {omega!r}, {z!r}, {rho!r}")
@@ -220,10 +219,8 @@ def delta_kernel_test(cos_theta0: float, n_max: int, test_fn,
     f(cos_theta0).  The kernel converges distributionally, so the declared
     tolerance scales as tol_constant / n_max.
     """
-    if abs(cos_theta0) > 1:
-        raise ValueError(f"cos_theta0 outside [-1, 1]: {cos_theta0!r}")
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1: {n_max!r}")
+    _check_cosine(cos_theta0, "cos_theta0")
+    n_max = _as_order(n_max, "n_max", least=1)
     # truncated delta spectrum a_n = (n + 1/2) P_n(cos_theta0), summed
     # against the P_n(nodes) table
     spectrum = ((np.arange(n_max + 1) + 0.5)
@@ -243,8 +240,7 @@ def delta_kernel_test(cos_theta0: float, n_max: int, test_fn,
 def _orthogonality_reports(n_lo: int, n_top: int) -> list:
     # the reports of orders n_lo .. n_top, from one Clenshaw-Curtis call
     # on the rows P_0^2 .. P_n_top^2
-    if n_lo < 0:
-        raise ValueError(f"negative order: n={n_lo}")
+    n_lo = _as_order(n_lo, "order n")
 
     def table(al):
         pn = legendre_p_sequence(n_top, al)[n_lo:]
@@ -301,8 +297,7 @@ def legendre_ft_pair(n: int, beta: float, tol: float = 1e-8) -> IdentityReport:
     beta = 0.999: 2.7e-5 claimed, 4e-11 off), and from about n = 150 the
     polynomial cancels at |lam| = L; both come back flagged.
     """
-    if n < 0:
-        raise ValueError(f"negative order: n={n}")
+    n = _as_order(n, "order n")
     if not abs(beta) < 1:
         raise ValueError(
             f"beta must lie strictly inside (-1, 1): beta={beta!r}")
@@ -348,8 +343,7 @@ def jn_norm_integral(n: int) -> IdentityReport:
     engine takes the rest, whose tail -cos(2x - n pi)/(2x^2) alternates
     from one pi/2 cell to the next.
     """
-    if n < 0:
-        raise ValueError(f"negative order: n={n}")
+    n = _as_order(n, "order n")
     big_l = _big_l(n)
     coeffs = _jn_yn_square_coeffs(n, big_l)
 
@@ -385,6 +379,7 @@ def _order_at_floor(x: float, n_max: int | None, where: str) -> int:
     floor = truncation_order(x)
     if n_max is None:
         return floor + 8
+    n_max = _as_order(n_max, "n_max")
     if n_max < floor:
         raise ValueError(
             f"n_max={n_max} below the truncation floor {floor} for {where}")
@@ -400,8 +395,7 @@ def hochstadt_sum_check(lam: float, mu: float, cos_theta: float,
     """
     if lam <= 0 or mu <= 0:
         raise ValueError(f"lam and mu must be positive: {lam!r}, {mu!r}")
-    if abs(cos_theta) > 1:
-        raise ValueError(f"cos_theta outside [-1, 1]: {cos_theta!r}")
+    _check_cosine(cos_theta, "cos_theta")
     n_max = _order_at_floor(max(lam, mu), n_max,
                             f"arguments up to {max(lam, mu)!r}")
     jl = spherical_jn_sequence(n_max, lam)
@@ -413,7 +407,7 @@ def hochstadt_sum_check(lam: float, mu: float, cos_theta: float,
                              - 2.0 * lam * mu * cos_theta)))
     rhs = spherical_jn(0, dist) / np.pi
     params = {"lam": float(lam), "mu": float(mu),
-              "cos_theta": float(cos_theta), "n_max": int(n_max),
+              "cos_theta": float(cos_theta), "n_max": n_max,
               "triangle_distance": dist}
     return _report("hochstadt_sum", params, lhs, rhs, 1e-10)
 
@@ -437,13 +431,12 @@ def plane_wave_expansion_check(x: float, cos_gamma: float,
     with resummation at x=0; see the negative control for the halved
     variant.
     """
-    if abs(cos_gamma) > 1:
-        raise ValueError(f"cos_gamma outside [-1, 1]: {cos_gamma!r}")
+    _check_cosine(cos_gamma, "cos_gamma")
     n_max = _order_at_floor(abs(x), n_max, f"x={x!r}")
     lhs = complex(np.exp(1j * x * cos_gamma))
     rhs = _plane_wave_sum(x, cos_gamma, n_max, half_coeff=False)
     params = {"x": float(x), "cos_gamma": float(cos_gamma),
-              "n_max": int(n_max)}
+              "n_max": n_max}
     return _report("plane_wave_expansion", params, lhs, rhs, 1e-10)
 
 
@@ -480,8 +473,9 @@ def bessel_beam_identity(omega_r: float, tol: float = 1e-8) -> IdentityReport:
     the two routes collapse to the same number because the norm integral
     is exactly 1/(n+1/2).
     """
-    if omega_r < 0:
-        raise ValueError(f"omega_r must be nonnegative: {omega_r!r}")
+    if not 0 <= omega_r < math.inf:
+        raise ValueError(
+            f"omega_r must be finite and nonnegative: {omega_r!r}")
 
     def integrand(alpha):
         al = np.asarray(alpha, dtype=float)

@@ -48,9 +48,9 @@ import numpy as np
 
 from .beamcore import (_VACUUM, BeamParams, DispersionModel, FieldPoint,
                        _sin2, to_spherical)
-from .oscquad import (QuadratureResult, _check_cell_budget,
-                      _segment_and_rays, integrate_oscillatory_infinite)
-from .specfun import _sph_j0
+from .oscquad import (QuadratureResult, _segment_and_rays,
+                      integrate_oscillatory_infinite)
+from .specfun import _as_order, _sph_j0
 
 __all__ = [
     "eval_integral_rep",
@@ -143,7 +143,7 @@ def eval_integral_rep(b: BeamParams, p: FieldPoint, tol: float = 1e-9,
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive: {tol!r}")
-    _check_cell_budget(max_cell_pairs)
+    max_cell_pairs = _as_order(max_cell_pairs, "max_cell_pairs", least=1)
     sph = to_spherical(p)
     mu = medium.evaluate(b.omega) * abs(b.omega) * sph.r
     if not (math.isfinite(mu) and math.isfinite(b.omega * p.t)):

@@ -49,9 +49,10 @@ from typing import Callable
 import cmath
 import functools
 import math
-import numbers
 
 import numpy as np
+
+from .specfun import _as_order
 
 __all__ = [
     "QuadratureResult",
@@ -300,7 +301,7 @@ def _segment_and_rays(f: Callable, ray_f: Callable, a: float, m: float,
 # most nodes of one Clenshaw-Curtis rule, refused before any evaluation: a
 # bandwidth of about 30,000 on [-1, 1], at about a millisecond a table row.
 # ``integrate_finite`` doubles up to the last size under it, 2N = 2^15
-# (32,769 nodes, 65,532 in all)
+# (32,769 nodes, each evaluated once)
 _CC_NODES = 60015
 # most entries of the (rows, nodes) table of a Clenshaw-Curtis call
 _CC_TABLE = 1 << 22
@@ -369,16 +370,18 @@ def integrate_finite(f: Callable, a: float, b: float,
     Clenshaw-Curtis rules.
 
     The rules of sizes 2N = 16, 32, 64, ... on [a, b] are taken in turn,
-    one call of f on all 2N + 1 nodes each, endpoints included; ``n_evals``
-    counts every node evaluated.  The claim of a size is the distance to
-    the rule of size N, on its even-indexed nodes, plus a rounding floor
-    of 64 eps sum(w |f|), and the first size whose claim is at most
-    ``tol`` (absolute) is returned.  Once the floor alone is past ``tol``
-    no larger rule can meet it, so the call stops there; so it does,
-    flagged, at the largest size within ``_CC_NODES`` nodes, 2N = 2^15.  An
-    entire integrand converges geometrically once 2N passes its bandwidth
-    (Trefethen, SIAM Rev. 50 (2008) 67-87); a jump costs the whole 65,532
-    evaluations and comes back ``converged=False``.
+    one call of f each: on all 17 nodes of the first, endpoints included,
+    then on the N nodes a rule adds to the one before, whose values it
+    keeps; ``n_evals`` counts every node evaluated, the last rule's 2N + 1.
+    The claim of a size is the distance to the rule of size N, on its
+    even-indexed nodes, plus a rounding floor of 64 eps sum(w |f|), and
+    the first size whose claim is at most ``tol`` (absolute) is returned.
+    Once the floor alone is past ``tol`` no larger rule can meet it, so
+    the call stops there; so it does, flagged, at the largest size within
+    ``_CC_NODES`` nodes, 2N = 2^15.  An entire integrand converges
+    geometrically once 2N passes its bandwidth (Trefethen, SIAM Rev. 50
+    (2008) 67-87); a jump costs the whole 32,769 evaluations and comes
+    back ``converged=False``.
     """
     a, b = float(a), float(b)
     if not (np.isfinite(a) and np.isfinite(b)):
@@ -390,21 +393,27 @@ def integrate_finite(f: Callable, a: float, b: float,
     if a == b:
         return QuadratureResult(value=0j, error_estimate=0.0, n_evals=0, converged=True)
 
-    # halves first: b - a may overflow
+    # halves first: b - a may overflow; a node rounded past an end is put
+    # back on it
     mid, half = 0.5 * a + 0.5 * b, 0.5 * b - 0.5 * a
-    n, n_evals = 8, 0
+    n = 8
+    fx = np.asarray(f(np.clip(mid + half * _cc_rule(n)[0], a, b)),
+                    dtype=complex)
+    n_evals = fx.size
     while True:
-        # a node rounded past an end is put back on it
-        x = np.clip(mid + half * _cc_rule(n)[0], a, b)
-        fx = np.asarray(f(x), dtype=complex)
-        n_evals += x.size
         value, err, floor = _cc_sums(fx, n)
         err, floor = half * float(err), half * float(floor)
         if err <= tol or floor > tol or 4 * n + 1 > _CC_NODES:
             return QuadratureResult(value=half * complex(value),
                                     error_estimate=err, n_evals=n_evals,
                                     converged=bool(err <= tol))
+        # the rule of size 4N keeps those of size 2N as its even-indexed
+        # nodes, bit for bit: f is called on the odd-indexed ones alone
         n *= 2
+        x = np.clip(mid + half * _cc_rule(n)[0][1::2], a, b)
+        kept, fx = fx, np.empty(2 * n + 1, dtype=complex)
+        fx[::2], fx[1::2] = kept, f(x)
+        n_evals += x.size
 
 
 # ----------------------------------------------------------------------------
@@ -514,15 +523,6 @@ class _Epsilon:
         return result, (floor if floor > abserr else abserr)
 
 
-def _check_cell_budget(max_cell_pairs) -> None:
-    # an int >= 1: bool and float refused, numpy ints accepted
-    if (isinstance(max_cell_pairs, bool)
-            or not isinstance(max_cell_pairs, numbers.Integral)
-            or max_cell_pairs < 1):
-        raise ValueError(
-            f"max_cell_pairs must be an int >= 1: {max_cell_pairs!r}")
-
-
 def integrate_oscillatory_infinite(f: Callable, period_hint: float,
                                    tol: float = 1e-9,
                                    max_cell_pairs: int = 640,
@@ -587,7 +587,7 @@ def integrate_oscillatory_infinite(f: Callable, period_hint: float,
             f"period_hint must be finite and positive: {period_hint!r}")
     if not math.isfinite(tail_start):
         raise ValueError(f"tail_start must be finite: {tail_start!r}")
-    _check_cell_budget(max_cell_pairs)
+    max_cell_pairs = _as_order(max_cell_pairs, "max_cell_pairs", least=1)
     if not tol > 0:
         raise ValueError(f"tol must be positive: {tol!r}")
     if not math.isfinite(carrier):

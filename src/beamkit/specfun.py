@@ -78,27 +78,35 @@ def legendre_p(n: int, x):
     sweep passes 8 MiB; columns are independent, so every entry is the one
     sweep's bit for bit.
     """
-    if type(n) is not int:
+    # an exact int >= 0 passes on the first test, which costs nothing per
+    # call; the same fast path opens each entry point here
+    if type(n) is not int or n < 0:
         n = _as_order(n, "Legendre order")
-    if n < 0:
-        raise ValueError(f"negative degree: n={n}")
     if np.ndim(x) == 0:
         return float(legendre_p_sequence(n, x)[n])
     x = np.asarray(x, dtype=float)
-    flat = x.ravel()
-    out = np.empty(flat.size)
-    cols = max(1, (1 << 20) // (n + 1))
-    for i in range(0, flat.size, cols):
-        out[i:i + cols] = legendre_p_sequence(n, flat[i:i + cols])[n]
-    return out.reshape(x.shape)
+    return _row_in_blocks(legendre_p_sequence, n, x.ravel(),
+                          (1 << 20) // (n + 1)).reshape(x.shape)
 
 
-def _as_order(n, what: str) -> int:
-    """An order as an int: a bool or a non-integer is refused, a numpy int
+def _as_order(n, what: str, least: int = 0) -> int:
+    """An order as an int, the package's one check of one: a bool, a
+    non-integer or a value under ``least`` is refused, a numpy int
     converted, so that no sum with it wraps around in a small dtype."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-        raise ValueError(f"{what} must be an int: {n!r}")
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < least:
+        raise ValueError(f"{what} must be an int >= {least}: {n!r}")
     return int(n)
+
+
+def _row_in_blocks(sweep, n: int, x: np.ndarray, cols: int) -> np.ndarray:
+    """Row n of ``sweep(n, block)`` over blocks of ``cols`` entries of the
+    1-D x, each row copied out: one block's table is alive at a time, and
+    columns are independent, so every entry is the one sweep's."""
+    cols = max(1, cols)
+    out = np.empty(x.size)
+    for i in range(0, x.size, cols):
+        out[i:i + cols] = sweep(n, x[i:i + cols])[n]
+    return out
 
 
 def legendre_p_sequence(n_max: int, x) -> np.ndarray:
@@ -107,11 +115,8 @@ def legendre_p_sequence(n_max: int, x) -> np.ndarray:
     A float64 array, orders along axis 0.  ``n_max`` is an int: a bool or
     a float is refused, a numpy int accepted.
     """
-    # an exact int passes on the first test, which costs nothing per call
-    if type(n_max) is not int:
+    if type(n_max) is not int or n_max < 0:
         n_max = _as_order(n_max, "Legendre order")
-    if n_max < 0:
-        raise ValueError(f"negative degree: n_max={n_max}")
     x = _clamp_unit(x)
     # a scalar stays a Python float throughout (see the module docstring);
     # _clamp_unit returns one for every scalar input
@@ -302,10 +307,8 @@ def spherical_jn_sequence(n_max: int, x: float) -> np.ndarray:
     come back as 0.0.  ``n_max`` is an int: a bool or a float is
     refused, a numpy int accepted.
     """
-    if type(n_max) is not int:
+    if type(n_max) is not int or n_max < 0:
         n_max = _as_order(n_max, "spherical Bessel order n_max")
-    if n_max < 0:
-        raise ValueError(f"negative order: n_max={n_max}")
     x = float(x)
     if not (x >= 0 and math.isfinite(x)):
         raise ValueError(f"argument must be finite and nonnegative: x={x!r}")
@@ -322,7 +325,9 @@ def spherical_jn(n: int, x):
     An array takes one upward sweep over its entries at or above n, one
     downward (Miller) sweep over those in [1e-8, n) and one pass of the
     leading series term over those under 1e-8; a path with no entry is
-    not run.  Each entry equals the scalar call bit for bit.
+    not run.  Each path sweeps its entries in blocks, so the memory it
+    holds does not grow with the array.  Each entry equals the scalar call
+    bit for bit.
     The downward sweep costs about as much as 15-25 scalar calls, almost
     whatever the array's size, so it pays from about 16 (n <= 20) to 25
     (n = 100) entries below n.  On a 2-vCPU Xeon, numpy 2.4: 8 entries
@@ -330,10 +335,8 @@ def spherical_jn(n: int, x):
     0.6-5.6 ms against 9-38 ms, for n = 1-100.  ``n`` is an int: a bool
     or a float is refused, a numpy int accepted.
     """
-    if type(n) is not int:
+    if type(n) is not int or n < 0:
         n = _as_order(n, "spherical Bessel order n")
-    if n < 0:
-        raise ValueError(f"negative order: n={n}")
     if np.ndim(x) == 0:
         return float(spherical_jn_sequence(n, x)[n])
     x = np.asarray(x, dtype=float)
@@ -342,19 +345,16 @@ def spherical_jn(n: int, x):
     out = np.empty(x.shape)
     # the entries the scalar call sends upward: x >= n past the tiny band
     up = x >= max(n, _TINY_ARG)
-    if up.any():
-        out[up] = _sph_sequence_upward(n, x[up])[n]
     tiny = x < _TINY_ARG
-    if tiny.any():
-        out[tiny] = _sph_sequence_tiny(n, x[tiny])[n]
-    down = ~(up | tiny)
-    if down.any():
-        # columns are independent, so blocks of them keep each table of
-        # the sweep under 16 MB without changing a bit
-        xs = x[down]
-        cols = max(1, (1 << 21) // (n + _miller_offset(n) + 3))
-        out[down] = np.concatenate([_sph_miller_columns(n, xs[i:i + cols])[n]
-                                    for i in range(0, xs.size, cols)])
+    # blocks keep each table of a sweep under 8 MB, or 16 MB for the
+    # Miller sweep's start + 3 rows
+    cols = (1 << 20) // (n + 1)
+    for path, sweep, block in ((up, _sph_sequence_upward, cols),
+                               (tiny, _sph_sequence_tiny, cols),
+                               (~(up | tiny), _sph_miller_columns,
+                                (1 << 21) // (n + _miller_offset(n) + 3))):
+        if path.any():
+            out[path] = _row_in_blocks(sweep, n, x[path], block)
     return out
 
 

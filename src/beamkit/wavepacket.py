@@ -32,15 +32,14 @@ bit for bit the single triple's.  ``identities.suite_triplesum`` sums its
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .beamcore import FieldPoint, _sin2, to_spherical
+from .beamcore import FieldPoint, _check_cosine, _sin2, to_spherical
 from .pwseries import SeriesResult
-from .specfun import legendre_p_sequence
+from .specfun import _as_order, legendre_p_sequence
 
 __all__ = [
     "ConeAngles",
@@ -66,10 +65,8 @@ class ConeAngles:
     cos_gamma: float
 
     def __post_init__(self):
-        if not abs(self.cos_theta) <= 1:
-            raise ValueError(f"cos_theta outside [-1, 1]: {self.cos_theta!r}")
-        if not abs(self.cos_eta) <= 1:
-            raise ValueError(f"cos_eta outside [-1, 1]: {self.cos_eta!r}")
+        _check_cosine(self.cos_theta, "cos_theta")
+        _check_cosine(self.cos_eta, "cos_eta")
         if math.isnan(self.cos_gamma):
             raise ValueError("cos_gamma is NaN")
 
@@ -103,8 +100,7 @@ def xwave_closed_form(cos_theta: float, p: FieldPoint) -> float:
 
     The exact boundary is singular and refused.
     """
-    if not abs(cos_theta) <= 1:
-        raise ValueError(f"cos_theta outside [-1, 1]: {cos_theta!r}")
+    _check_cosine(cos_theta, "cos_theta")
     a, b = _xwave_ab(cos_theta, p)
     rad = a * a - b * b
     if not math.isfinite(rad):
@@ -163,9 +159,7 @@ def triple_legendre_sum(a: ConeAngles | Sequence[ConeAngles], n_max: int,
             raise ValueError(
                 f"cos_gamma outside [-1, 1]{at}: {t.cos_gamma!r}; the "
                 "Legendre factors diverge there and the sum is undefined")
-    if (isinstance(n_max, bool) or not isinstance(n_max, numbers.Integral)
-            or n_max < 1):
-        raise ValueError(f"n_max must be an int >= 1: {n_max!r}")
+    n_max = _as_order(n_max, "n_max", least=1)
     if mode not in ("raw", "cesaro", "double_average"):
         raise ValueError(f"unknown mode: {mode!r}")
     cosines = [sorted((t.cos_theta, t.cos_eta, t.cos_gamma)) for t in triples]
@@ -176,7 +170,7 @@ def triple_legendre_sum(a: ConeAngles | Sequence[ConeAngles], n_max: int,
     else:
         rows = legendre_p_sequence(n_max, np.array(cosines))
     # from here on a single triple is a batch of one, orders along axis 0
-    n_terms = int(n_max) + 1
+    n_terms = n_max + 1
     weights = (2 * np.arange(n_terms) + 1)[:, None]
     terms = weights * rows[..., 0] * rows[..., 1] * rows[..., 2]
     partial = np.cumsum(terms, axis=0)

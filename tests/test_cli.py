@@ -294,7 +294,7 @@ class TestVerify:
         ("planewave",
          "a0aed41897833c27c1eb8fd71115a6f3aba882bbb408854edca2f3349f20b4d2"),
         ("beamidentity",
-         "f02cc21592054270418727e9cc2b57427686edc12a99c349bd2d977af320769d"),
+         "9befde5888b17dff18ba68d1f9357047cf6fb136b9cce8c7a8ac059ca3cc654a"),
         ("hochstadt",
          "a24daaac650ce1aabd3fd34e4998ee9ea9a5a9927c5dfdd1265acd7160fc32e7"),
         ("triplesum",

@@ -1,9 +1,11 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -108,15 +110,13 @@ class TestClenshawCurtis:
 
     def test_beamidentity_claim_bounds_twice_the_size(self):
         # integrate_finite doubles 2N from 16 and stops at the first rule
-        # whose claim is under tol; from that rule's size, quad_evals
-        # counts the nodes of every rule run
+        # whose claim is under tol; each node is evaluated once, so
+        # quad_evals is that rule's 2N + 1
         for r in run_suite("beamidentity"):
             p = r.params
-            n, evals = 8, 2 * 8 + 1
-            while evals < p["quad_evals"]:
-                n *= 2
-                evals += 2 * n + 1
-            assert evals == p["quad_evals"] and p["quad_converged"] is True
+            n = (p["quad_evals"] - 1) // 2
+            assert n >= 8 and n & (n - 1) == 0
+            assert 2 * n + 1 == p["quad_evals"] and p["quad_converged"] is True
             nodes, weights, _ = oq._cc_rule(2 * n)
             wr = p["omega_r"]
             finer = (bessel_j0(wr * (1.0 - nodes) * (1.0 + nodes))
@@ -435,6 +435,60 @@ class TestBeamIdentity:
         assert r.params["route_gap"] < 1e-10
         if omega_r == 160.0:
             assert r.params["n_terms"] > 200
+
+    @pytest.mark.parametrize("omega_r", [math.nan, math.inf, -math.inf, -1.0])
+    def test_nonfinite_or_negative_refused(self, omega_r, monkeypatch):
+        # refused up front, with no RuntimeWarning and no integrand call
+        monkeypatch.setattr(idn, "integrate_finite", _never_called)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(
+                    f"omega_r must be finite and nonnegative: {omega_r!r}")):
+                bessel_beam_identity(omega_r)
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("called after a refused argument")
+
+
+class TestArgumentChecks:
+    # every order goes through specfun._as_order and every cosine through
+    # beamcore._check_cosine: a ValueError that names the value, before
+    # any sweep or quadrature
+    @pytest.mark.parametrize("n", [2.5, True, -1, np.float64(3.0)])
+    @pytest.mark.parametrize("check", [
+        jn_norm_integral, lambda n: legendre_ft_pair(n, 0.3),
+        legendre_orthogonality,
+        lambda n: verify_stratton_integral(n, 1.0, 0.3, 0.7)],
+        ids=["jnnorm", "ftpair", "orthogonality", "stratton"])
+    def test_order_not_an_int_refused(self, check, n):
+        with pytest.raises(ValueError, match=re.escape(
+                f"order n must be an int >= 0: {n!r}")):
+            check(n)
+
+    @pytest.mark.parametrize("check", [
+        lambda: delta_kernel_test(0.3, 20.5, np.exp),
+        lambda: delta_kernel_test(0.3, 0, np.exp),
+        lambda: hochstadt_sum_check(1.5, 4.0, 0.2, n_max=30.0),
+        lambda: plane_wave_expansion_check(3.0, 0.2, n_max=True)],
+        ids=["delta-float", "delta-zero", "hochstadt", "planewave"])
+    def test_n_max_not_an_int_refused(self, check, monkeypatch):
+        monkeypatch.setattr(idn, "legendre_p_sequence", _never_called)
+        with pytest.raises(ValueError, match="n_max must be an int >= "):
+            check()
+
+    @pytest.mark.parametrize("c", [math.nan, 1.5, -math.inf])
+    @pytest.mark.parametrize("check,what", [
+        (lambda c: hochstadt_sum_check(1.5, 4.0, c), "cos_theta"),
+        (lambda c: plane_wave_expansion_check(3.0, c), "cos_gamma"),
+        (lambda c: delta_kernel_test(c, 20, np.exp), "cos_theta0")],
+        ids=["hochstadt", "planewave", "delta"])
+    def test_cosine_refused_before_any_sweep(self, check, what, c,
+                                             monkeypatch):
+        monkeypatch.setattr(idn, "legendre_p_sequence", _never_called)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{what} outside [-1, 1]: {c!r}")):
+            check(c)
 
 
 class TestReportContract:

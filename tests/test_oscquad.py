@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from beamkit.oscquad import (_BATCH_NODES, QuadratureResult, _Epsilon,
-                             _segment_and_rays, integrate_finite,
+                             _cc_rule, _segment_and_rays, integrate_finite,
                              integrate_oscillatory_infinite,
                              regularized_j0_fourier)
 from beamkit.specfun import bessel_j0, spherical_jn
@@ -96,10 +96,15 @@ class TestFinite:
     def test_one_call_per_rule(self):
         f = _Counting(lambda a: np.cos(40.0 * a))
         r = integrate_finite(f, 0, 1, tol=1e-12)
-        # the rules of sizes 16, 32, 64, ..., each on all its nodes
+        # the rules of sizes 16, 32, 64, ...: all 17 nodes of the first,
+        # then the N nodes each rule of size 2N adds to the one before,
+        # so every node of the last rule is evaluated once
         assert len(f.sizes) > 1
-        assert f.sizes == [16 * 2 ** k + 1 for k in range(len(f.sizes))]
-        assert r.n_evals == sum(f.sizes)
+        assert f.sizes == [17] + [16 * 2 ** k for k in range(len(f.sizes) - 1)]
+        assert r.n_evals == sum(f.sizes) == 16 * 2 ** (len(f.sizes) - 1) + 1
+        last = _cc_rule(8 * 2 ** (len(f.sizes) - 1))[0]
+        nodes = np.clip(0.5 + 0.5 * last, 0.0, 1.0)
+        assert np.array_equal(np.sort(np.concatenate(f.calls)), nodes)
 
     def test_empty_interval_makes_no_call(self):
         f = _Counting(np.exp)
@@ -136,15 +141,15 @@ class TestFinite:
         f = _Counting(np.sign)
         r = integrate_finite(f, -1.0, 1.3, tol=1e-10)
         assert r.converged is False
-        assert f.sizes[-1] == 2 ** 15 + 1
-        assert r.n_evals == sum(f.sizes) == 65532
+        assert f.sizes[-1] == 2 ** 14
+        assert r.n_evals == sum(f.sizes) == 2 ** 15 + 1
         assert abs(r.value - 0.3) <= r.error_estimate
 
     def test_fast_oscillation_converges(self):
         # cos(1e4 x): the rule of size 2N = 2^13 resolves it, where the
         # bisection was refused after 60,015 evaluations
         r = integrate_finite(lambda a: np.cos(1e4 * a), 0.0, 1.0, tol=1e-10)
-        assert r.converged
+        assert r.converged and r.n_evals == 2 ** 13 + 1
         assert abs(r.value - math.sin(1e4) / 1e4) <= r.error_estimate
 
 

@@ -36,7 +36,7 @@ def test_every_module_is_listed():
 @pytest.mark.parametrize("name", [
     "eval_direct_dispersive", "eval_series_dispersive",
     "eval_integral_rep_dispersive", "LegendreSpectrum", "RealSequence",
-    "KernelArgs", "compute_R"])
+    "KernelArgs", "compute_R", "_check_cell_budget"])
 def test_deleted_names_stay_gone(name):
     # one way to call each route (medium=) and plain array sequences
     for mod in MODULES:
@@ -65,7 +65,7 @@ def test_engine_has_no_beat_hint():
 
 
 @pytest.mark.parametrize("name,allowed", [
-    ("integralrep", {"_check_cell_budget", "_segment_and_rays"}),
+    ("integralrep", {"_segment_and_rays"}),
     ("identities", {"_segment_and_rays", "_clenshaw_curtis", "_cc_rule"})])
 def test_private_oscquad_imports(name, allowed):
     # the segment-and-rays quadrature and the Clenshaw-Curtis rule have one
@@ -78,3 +78,14 @@ def test_private_oscquad_imports(name, allowed):
                and node.module == "oscquad"
                for alias in node.names if alias.name.startswith("_")}
     assert private <= allowed, private - allowed
+
+
+def test_one_order_check():
+    # an order is checked by specfun._as_order alone, so no other module
+    # needs the numbers ABCs to tell an int from a bool or a float
+    for path in Path(beamkit.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        imported = {alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.Import) for alias in node.names}
+        assert ("numbers" in imported) == (path.name == "specfun.py"), \
+            path.name

@@ -280,6 +280,26 @@ class TestSphericalBessel:
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
         assert type(spherical_jn(n, 2.5)) is float
 
+    @pytest.mark.parametrize("lo,hi", [(200.0, 400.0), (0.0, 1e-9),
+                                       (1e-3, 199.0)],
+                             ids=["upward", "tiny", "miller"])
+    def test_array_memory_does_not_grow_with_size(self, lo, hi):
+        # each path sweeps blocks of entries and copies row n out of each,
+        # so one block's table is alive at a time: past a block, an entry
+        # adds a few arrays of its own, not a column of n + 1 rows (1608
+        # bytes at n = 200).  Unblocked, or concatenating row views that
+        # kept their tables, the peak grew with the array
+        peaks = []
+        for size in (10_000, 40_000):
+            x = np.linspace(lo, hi, size)
+            tracemalloc.start()
+            try:
+                spherical_jn(200, x)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 100 * 30_000, peaks
+
     def test_array_below_n_makes_no_scalar_sweep(self, monkeypatch):
         # entries in [1e-8, n) go through one array sweep and entries
         # under 1e-8, exact zero among them, through one pass of the
