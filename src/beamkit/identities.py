@@ -285,14 +285,15 @@ def legendre_ft_pair(n: int, beta: float, tol: float = 1e-8) -> IdentityReport:
     support edges at |beta| = 1 and the symmetric limit halves there).
 
     ``oscquad._segment_and_rays`` takes the integral on the half line
-    lam >= 0 alone, as j_n has parity (-1)^n: equal K15 panels on [0, L],
-    L the first multiple of pi/2 at or past 2n + 4, and past L the parts
-    of j_n = (h_n^(1) + h_n^(2))/2 up and down two vertical rays; the
-    other half is the mirror image times (-1)^n.  Here h_n is e^{+-i lam}
+    lam >= 0 alone, as j_n has parity (-1)^n: equal Clenshaw-Curtis panels
+    on [0, L], L the first multiple of pi/2 at or past 2n + 4, and past L
+    the parts of j_n = (h_n^(1) + h_n^(2))/2 up and down two vertical rays;
+    the other half is the mirror image times (-1)^n.  Here h_n is e^{+-i lam}
     times a polynomial in L/lam (DLMF 10.49.6, coefficients scaled by L^k
     so that none overflows), and the rays are laid out along its Debye
     chord sqrt(lam^2 - (n + 1/2)^2).  The error claim is twice the half
-    line's: the K15 - G7 difference of every panel plus a rounding floor.
+    line's: each segment panel's distance to the rule of half its size,
+    the K15 - G7 difference of every ray panel, and a rounding floor.
     Near |beta| = 1 at high n the claim can exceed the error (n = 80,
     beta = 0.999: 2.7e-5 claimed, 4e-11 off), and from about n = 150 the
     polynomial cancels at |lam| = L; both come back flagged.
@@ -393,8 +394,9 @@ def hochstadt_sum_check(lam: float, mu: float, cos_theta: float,
     lhs = (2/pi) sum (n+1/2) P_n(cos_theta) j_n(lam) j_n(mu),
     rhs = (1/pi) j_0(sqrt(lam^2 + mu^2 - 2 lam mu cos_theta)).
     """
-    if lam <= 0 or mu <= 0:
-        raise ValueError(f"lam and mu must be positive: {lam!r}, {mu!r}")
+    if not (0 < lam < math.inf and 0 < mu < math.inf):
+        raise ValueError(
+            f"lam and mu must be finite and positive: {lam!r}, {mu!r}")
     _check_cosine(cos_theta, "cos_theta")
     n_max = _order_at_floor(max(lam, mu), n_max,
                             f"arguments up to {max(lam, mu)!r}")
@@ -431,6 +433,8 @@ def plane_wave_expansion_check(x: float, cos_gamma: float,
     with resummation at x=0; see the negative control for the halved
     variant.
     """
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite: {x!r}")
     _check_cosine(cos_gamma, "cos_gamma")
     n_max = _order_at_floor(abs(x), n_max, f"x={x!r}")
     lhs = complex(np.exp(1j * x * cos_gamma))

@@ -22,15 +22,17 @@ and its accelerator stalls.  Every point with delta < 3/4 takes
 Huybrechs and Vandewalle, SIAM J. Numer. Anal. 44, 2006).  j_0 of the
 chord is even in u = lambda - m, so the integral is
 e^{i m cos eta} (Z + conj(Z)) with Z over the half line u >= 0 alone:
-K15 panels on [0, a], a = |cos eta| beta / sin eta + pi just past both
-real saddles u = +-|cos eta| beta / sin eta, and the two parts
+Clenshaw-Curtis panels on [0, a], a = |cos eta| beta / sin eta + pi just
+past both real saddles u = +-|cos eta| beta / sin eta, and the two parts
 e^{+-iR} / (2iR) of the one tail up and down vertical rays, where they
-decay like e^{-(1 +- cos eta) s} and the panels widen as the integrand
-falls.  This module gives it only a, j_0 of the chord on the segment and
-the up part e^{iq - rate s} / (2R) on the rays.  The cost grows like a,
-about 1/rho; past a node budget the route reports converged=False without
-evaluating.  Points with delta >= 3/4 keep the engine, where the rays save
-little.
+decay like e^{-(1 +- cos eta) s} and the ray panels widen as the
+integrand falls.  This module gives it only a, j_0 of the chord on the
+segment and the up part e^{iq - rate s} / (2R) on the rays.  The cost
+grows like a, about 1/rho; past a node budget the route reports
+converged=False without evaluating.  Points with delta >= 3/4 keep the
+engine, where the rays save little, unless mu + pi >= pi * max_cell_pairs:
+there the engine would spend every cell pair before its tail starts at
+mu + pi, and the rays take the point.
 
 On the axis (|cos eta| = 1) the symmetric limit of the lambda-integral is
 exactly half the field: j_n under the integral is the Fourier transform of
@@ -88,13 +90,15 @@ def _rep_integral(mu: float, cos_theta: float, cos_eta: float, delta: float,
 
     m = mu * cos_theta
     beta2 = mu * mu * _sin2(cos_theta)
-    if delta < _RAY_BAND:
+    if delta < _RAY_BAND or mu + np.pi >= np.pi * max_cell_pairs:
         # the beat 2 pi / delta is wider than the period 2 pi: below 1/2
         # the engine's half-period cells would not alternate, and up to 3/4
-        # the rays cost less than the engine.  j_0(R) is even in
-        # u = lambda - m, so the half line u >= 0 is integrated: both real
-        # saddles u = +-cos_eta beta / sin_eta, where
-        # d(c*u -+ R)/du = 0, lie inside [-a, a]; past a,
+        # the rays cost less than the engine.  The engine's half-period
+        # cells reach its tail, from mu + pi, only after (mu + pi) / pi
+        # pairs: past max_cell_pairs a point takes the rays too.  j_0(R)
+        # is even in u = lambda - m, so the half line u >= 0 is
+        # integrated: both real saddles u = +-cos_eta beta / sin_eta,
+        # where d(c*u -+ R)/du = 0, lie inside [-a, a]; past a,
         # j_0(R) = (e^{iR} - e^{-iR}) / (2iR), and its up part is
         # e^{iq - rate s} / (2R) on the ray, with q = R - z =
         # beta^2 / (R + z) free of cancellation
@@ -138,8 +142,9 @@ def eval_integral_rep(b: BeamParams, p: FieldPoint, tol: float = 1e-9,
     mu = n(omega)*|omega|*r.  Non-convergence is reported through the
     flag, never raised.  ``tol`` and ``max_cell_pairs`` are checked at every
     point, the analytic origin and axis included.  Where
-    ``1 - |cos eta| < 3/4`` (the ray quadrature) ``max_cell_pairs`` is a
-    budget of ``max_cell_pairs * 15360`` nodes.
+    ``1 - |cos eta| < 3/4`` or ``mu + pi >= pi * max_cell_pairs`` (the ray
+    quadrature) ``max_cell_pairs`` is a budget of
+    ``max_cell_pairs * 15360`` nodes.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive: {tol!r}")

@@ -4,8 +4,10 @@ Three layers:
 
 * ``integrate_finite``: nested Clenshaw-Curtis rules on a finite interval,
   doubled in size until the claim of the last one is under the tolerance.
-  ``_clenshaw_curtis`` takes a table of rows on one rule of a given size;
-  both read ``_cc_rule``, the package's one finite-interval rule.
+  ``_clenshaw_curtis`` takes a table of rows on one rule of a given size,
+  and ``_segment_and_rays`` its segment [0, a] on equal panels of one
+  size; all three read ``_cc_rule``, the package's one finite-interval
+  rule.
 * ``integrate_oscillatory_infinite``: symmetric improper integrals of slowly
   decaying oscillatory integrands, optionally times a plane-wave carrier
   ``exp(i*c*x)``, done as expanding half-period cell pairs fed into one
@@ -24,13 +26,14 @@ elementwise.  ``_k15_nodes`` is the one place that lays out Gauss-Kronrod
 nodes.  ``_segment_and_rays`` is the one quadrature that takes a line
 integral of a real integrand of known parity with a carrier
 ``exp(i*c*x)``, |c| < 1.  It integrates only the half line past the
-centre of symmetry, on equal K15 panels over [0, a] and past a up and
-down two vertical steepest-descent rays laid out by ``_ray_edges``
-(Huybrechs and Vandewalle, SIAM J. Numer. Anal. 44, 2006), and gets the
-other half as the mirror image times the parity.  Its two callers, the
-integral route and the Fourier-pair check, take it where a slow beat would
-stall the cells, and pass only their integrand on the segment, its up
-part on the rays, a, the parity and a chord for the ray layout.
+centre of symmetry, on equal Clenshaw-Curtis panels over [0, a] and past
+a on K15 panels up and down two vertical steepest-descent rays laid out
+by ``_ray_edges`` (Huybrechs and Vandewalle, SIAM J. Numer. Anal. 44,
+2006), and gets the other half as the mirror image times the parity.
+Its two callers, the integral route and the Fourier-pair check, take it
+where a slow beat would stall the cells, and pass only their integrand on
+the segment, its up part on the rays, a, the parity and a chord for the
+ray layout.
 In ``integrate_finite`` each rule makes one integrand call, and so does
 each step of the cell loop: a batch of whole cell pairs, both sides of
 each, up to about ``_BATCH_NODES`` nodes (one pair when a pair alone
@@ -70,9 +73,12 @@ _EPS5 = 5.0 * _EPMACH  # rounding floor of an extrapolated value, per |value|
 _BATCH_NODES = 2048
 # most nodes on one side of a cell; a faster carrier is refused
 _MAX_CELL_NODES = 65536
-# K15 panels on a segment and its vertical rays: omega*h for the highest
-# local frequency omega, where G7 is within about 3e-13 per unit length of K15
+# K15 panels on a vertical ray: omega*h for the highest local frequency
+# omega, where G7 is within about 3e-13 per unit length of K15
 _PANEL_WH = 1.5
+# most bandwidth (1 + |c|) width / 2 of one Clenshaw-Curtis panel of a
+# segment [0, a]
+_PANEL_BAND = 1024.0
 # a ray ends where its integrand times its decay length is below this
 _RAY_CUT = 1e-3 * _EPMACH
 # a ray panel widens by the fall of |f| since the ray's start to this power
@@ -94,6 +100,10 @@ class QuadratureResult:
     n_evals: int
     converged: bool
 
+
+# a layout refused before any evaluation
+_REFUSED = QuadratureResult(value=0j, error_estimate=_OFLOW, n_evals=0,
+                            converged=False)
 
 # ----------------------------------------------------------------------------
 # Gauss-Kronrod 7/15 tables (QUADPACK dqk15 abscissae/weights).
@@ -133,9 +143,6 @@ _WG7 = np.concatenate([_WG[:3], [_WG[3]], _WG[2::-1]])
 # K15 weights and K15 - G7 weights, as the columns of one matrix
 _WKD = np.column_stack([_WK15, _WK15])
 _WKD[1::2, 1] -= _WG7
-# the K15 nodes of [0, 1], then the offsets of the panels of a chunk
-_GRID = np.concatenate([0.5 * (1.0 + _NODES),
-                        np.arange(_CHUNK_NODES // 15)])
 
 
 def _k15_nodes(a, b):
@@ -197,39 +204,46 @@ def _segment_and_rays(f: Callable, ray_f: Callable, a: float, m: float,
 
     In u = lambda - m the integral is e^{i c m} (Z + p conj(Z)) with
     Z = Int_0^inf f(u) e^{i c u} du, so only the half line u >= 0 is
-    integrated.  Equal K15 panels of half-width about
-    ``_PANEL_WH / (1 + |c|)`` cover [0, a]; f is called with flat arrays
-    of u, which it may overwrite.  Past a each part e^{i(c u +- R)} of the
-    integrand goes up or down the vertical ray z = a +- i*s, laid out by
-    ``_ray_edges`` for R = sqrt(z^2 + beta2), where it decays like
-    e^{-(1 +- c) s}.  ``ray_f(z, rate_s)`` gives the up part, times i
-    from dz = i ds and without its phase e^{i c a} e^{i a}, on a
-    (panels, 15) table of z = a + i*s and the table of rate*s; the down
-    part at a - i*s is its conjugate at the same rate.  The error claim
-    is twice that of Z: the K15 - G7 difference of every panel plus eps
-    times the absolute sums, each node weighted by the size of its phase.
-    A layout of more than ``budget`` nodes is refused before any
-    evaluation, with n_evals = 0; each ray's layout stops as soon as it
-    passes the panels left in the budget.
+    integrated.  [0, a] is cut into the fewest equal panels whose
+    bandwidth (1 + |c|) width / 2 is at most ``_PANEL_BAND``, each on the
+    nodes of ``_cc_rule(n)``, the Clenshaw-Curtis rule of size 2n, with n
+    1.1 times that bandwidth plus 16, rounded up to a multiple of 8; f is
+    called with flat arrays of u, which it may overwrite.  An entire f
+    makes each panel converge geometrically once its size passes the
+    bandwidth (Trefethen, SIAM Rev. 50 (2008) 67-87).  Past a each part
+    e^{i(c u +- R)} of the integrand goes up or down the vertical ray
+    z = a +- i*s, laid out by ``_ray_edges`` for R = sqrt(z^2 + beta2),
+    where it decays like e^{-(1 +- c) s}.  ``ray_f(z, rate_s)`` gives the
+    up part, times i from dz = i ds and without its phase e^{i c a}
+    e^{i a}, on a (panels, 15) table of z = a + i*s and the table of
+    rate*s; the down part at a - i*s is its conjugate at the same rate.
+    The error claim is twice that of Z: each segment panel's distance to
+    the rule of size n on its even-indexed nodes, the K15 - G7 difference
+    of every ray panel, and eps times the absolute sums, each node
+    weighted by the size of its phase.  A layout of more than ``budget``
+    nodes is refused before any evaluation, with n_evals = 0; each ray's
+    layout stops as soon as it passes the K15 panels left in the budget.
     """
-    def unconverged():
-        return QuadratureResult(value=0j, error_estimate=_OFLOW, n_evals=0,
-                                converged=False)
-
-    n_seg = a * (1.0 + abs(c)) / (2.0 * _PANEL_WH)
-    if 15.0 * n_seg > budget:
-        return unconverged()
-    n_seg = math.ceil(n_seg)
+    # the segment alone takes more than 2.2 band nodes (a NaN band, from
+    # an overflowed a, is refused too).  Each panel takes _cc_rule(n), n
+    # rounded up to a multiple of 8 so that sizes repeat in the cache of
+    # _cc_panel
+    band = 0.5 * (1.0 + abs(c)) * a
+    if not 2.2 * band <= budget:
+        return _REFUSED
+    n_seg = math.ceil(band / _PANEL_BAND)
+    grid, w_diff = _cc_panel(8 * math.ceil(1.1 * band / (8 * n_seg) + 2.0))
+    size = len(w_diff)
     # the right tail's parts: up at rate 1 + c, down at 1 - c, without
     # cancellation
     one_minus, one_plus = ((delta, 2.0 - delta) if c > 0
                            else (2.0 - delta, delta))
-    left = budget // 15 - n_seg
+    left = (budget - n_seg * size) // 15
     up = _ray_edges(a, beta2, one_plus, left)
     down = _ray_edges(a, beta2, one_minus, left - len(up) + 1)
-    n_evals = 15 * (n_seg + len(up) + len(down) - 2)
+    n_evals = n_seg * size + 15 * (len(up) + len(down) - 2)
     if n_evals > budget:
-        return unconverged()
+        return _REFUSED
 
     # e^{i c u} with c = sign*(1 - delta) taken apart: a rounded c would
     # shift the slow phase (c -+ 1)*u by about eps*a, alike over the whole
@@ -242,31 +256,27 @@ def _segment_and_rays(f: Callable, ray_f: Callable, a: float, m: float,
     # the segment, in chunks that all share one layout: a node is the
     # chunk's start plus a fixed offset, rounded once, and its phase is the
     # start's times the offset's.  One carrier call takes the phases of
-    # the K15 nodes x0 of [0, width] and of the offsets; those of x0 fold
-    # into the columns K15 and K15 - G7 of the weights, whose real and
-    # imaginary parts make the (15, 4) real matrix w_parts
+    # the nodes x0 of [0, width] and of the offsets; those of x0 fold into
+    # the weights of the rule and its distance to the rule of size n,
+    # whose real and imaginary parts make the (size, 4) real matrix w_parts
     width = a / n_seg
-    chunk = _CHUNK_NODES // 15
-    step = min(chunk, n_seg)
-    grid = width * _GRID[:15 + step]
+    step = min(grid.size - size, n_seg)
+    grid = width * grid[:size + step]
     phase = carrier(grid, np.exp)
-    w_parts = ((0.5 * width * phase[:15])[:, None] * _WKD).view(float)
-    w_abs = 0.5 * width * _WK15
-    local = grid[15:, None] + grid[:15]
-    table = phase[15:]
+    w_parts = ((width * phase[:size])[:, None] * w_diff).view(float)
+    local = grid[size:, None] + grid[:size]
     # a node at u carries an argument rounded by eps*|lambda|, and
     # |lambda| <= |m| + u on either half
-    weight = grid[15:] + (1.0 + abs(m) + width)
+    weight = grid[size:] + (1.0 + abs(m) + width)
     value, err, absum = 0j, 0.0, 0.0
     for i in range(0, n_seg, step):
-        n = min(step, n_seg - i)
         u0 = width * i
-        fx = f((u0 + local[:n]).ravel()).reshape(n, 15)
+        fx = f((u0 + local[:n_seg - i]).ravel()).reshape(-1, size)
         sums = (fx @ w_parts).view(complex)
-        value += carrier(u0) * complex(table[:n] @ sums[:, 0])
+        value += carrier(u0) * complex(phase[size:][:len(fx)] @ sums[:, 0])
         err += float(np.abs(sums[:, 1]).sum())
         np.abs(fx, out=fx)
-        absum += float((u0 + weight[:n]) @ (fx @ w_abs))
+        absum += width * float((u0 + weight[:len(fx)]) @ (fx @ w_diff[:, 0]))
 
     # both rays as rows of one table of z = a + i*s, the up ray's first:
     # the down ray is mirrored, as its part at a - i*s is the conjugate of
@@ -277,6 +287,7 @@ def _segment_and_rays(f: Callable, ray_f: Callable, a: float, m: float,
     rate = np.full((len(lo), 1), one_minus)
     rate[:k] = one_plus
     up_sum, down_sum, up_abs, down_abs = 0j, 0j, 0.0, 0.0
+    chunk = _CHUNK_NODES // 15
     for j in range(0, len(lo), chunk):
         h, s = _k15_nodes(lo[j:j + chunk], hi[j:j + chunk])
         fx = ray_f(a + 1j * s, rate[j:j + chunk] * s)
@@ -334,6 +345,23 @@ def _cc_rule(n: int):
     return out
 
 
+@functools.lru_cache(maxsize=32)
+def _cc_panel(n: int):
+    """The rule of size 2n as ``_segment_and_rays`` lays out a chunk of
+    panels of width 1: its nodes on [0, 1], then the panels' offsets 0, 1,
+    ... up to ``_CHUNK_NODES`` nodes; and the (2n + 1, 2) matrix of its
+    weights on [0, 1] and their distance to the weights of the rule of
+    size n, read-only."""
+    x, w, w_half = _cc_rule(n)
+    w_diff = np.column_stack([w, w])
+    w_diff[::2, 1] -= w_half
+    out = (np.append(0.5 + 0.5 * x, np.arange(_CHUNK_NODES // x.size)),
+           0.5 * w_diff)
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
 def _cc_sums(fx, n: int):
     """(value, claim, floor) of the rows of fx, f on the nodes of
     ``_cc_rule(n)``: the rule's value, its distance to the rule of size n
@@ -356,8 +384,7 @@ def _clenshaw_curtis(f, orders: range, size: float, tol: float) -> list:
     # size first, as a float: an infinite one has no ceiling
     n = max(2, math.ceil(size)) if size <= _CC_NODES // 2 else _CC_NODES
     if 2 * n + 1 > _CC_NODES or (orders[-1] + 1) * (2 * n + 1) > _CC_TABLE:
-        return [QuadratureResult(value=0j, error_estimate=_OFLOW,
-                                 n_evals=0, converged=False)] * len(orders)
+        return [_REFUSED] * len(orders)
     value, err, _ = _cc_sums(f(_cc_rule(n)[0]), n)
     return [QuadratureResult(value=complex(v), error_estimate=float(e),
                              n_evals=2 * n + 1, converged=bool(e <= tol))

@@ -41,8 +41,9 @@ class SeriesResult:
 
     ``tail_estimate`` is the magnitude of the last included term group (two
     consecutive terms, so parity zeros cannot fake convergence); it is an
-    empirical indicator, not a bound.  ``converged`` drops to False only
-    when the tail never fell under the requested tolerance by the hard cap.
+    empirical indicator, not a bound.  ``converged`` drops to False when
+    the tail never fell under the requested tolerance before the hard cap,
+    and on every sum that reaches it.
 
     ``wavepacket.triple_legendre_sum`` on a sequence of triples returns one
     result for the whole batch: ``value`` a complex array and
@@ -119,8 +120,11 @@ def _series_sum(mu: float, cos_theta: float, cos_eta: float, tol: float):
         terms = _COEFFS[:n + 1] * pt * pe * jn
         tail = abs(complex(terms[-1])) + abs(complex(terms[-2]))
         if tail <= tol or n >= HARD_CAP:
+            # a sum cut at HARD_CAP is flagged whatever its tail: the cap
+            # also clips a base past it, where the last terms fall like
+            # 1/mu and pass tol without the sum having converged
             value = complex(np.sum(terms))
-            return value, n + 1, tail, tail <= tol
+            return value, n + 1, tail, tail <= tol and n < HARD_CAP
         n = min(HARD_CAP, max(n + 16, int(1.2 * n)))
 
 

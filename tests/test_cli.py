@@ -290,7 +290,7 @@ class TestVerify:
         ("jnnorm",
          "82949fe627ee78b02b101ca7ad167ed67bd8f15e5d7937033110b10d54ed0490"),
         ("ftpair",
-         "0a046825fed46b617144e1fb9f487945b5cc9d63ff973def998b3ad2b4b83012"),
+         "e3f41d3fd5314e4d0854cdf346e8a914ed14b00da099720fd760e19125511830"),
         ("planewave",
          "a0aed41897833c27c1eb8fd71115a6f3aba882bbb408854edca2f3349f20b4d2"),
         ("beamidentity",

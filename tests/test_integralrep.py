@@ -3,6 +3,7 @@ import hashlib
 import importlib.util
 import math
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -212,6 +213,25 @@ class TestRouteSelection:
         assert res.converged is True
         assert abs(res.value - eval_direct(b, p)) <= 1e-9
 
+    @pytest.mark.parametrize("omega,cos_theta", [
+        (500.0, 0.8), (1000.0, 0.0), (3000.0, 0.3)])
+    def test_engine_out_of_reach_takes_rays(self, monkeypatch, omega,
+                                            cos_theta):
+        # z = 0.5, rho = 4: 1 - |cos eta| = 0.876 lies in the engine's band,
+        # but at mu = 2016, 4031 and 12,093 its half-period cells would
+        # spend every one of their 640 pairs before the tail at mu + pi
+        # (flagged after 19,200 evals, claim 5.7e307).  The rays converge
+        def engine(*args, **kwargs):
+            raise AssertionError("the cell engine was called")
+
+        monkeypatch.setattr(integralrep, "integrate_oscillatory_infinite",
+                            engine)
+        b = BeamParams(omega=omega, cos_theta=cos_theta)
+        p = FieldPoint(z=0.5, rho=4.0, t=0.0)
+        res = eval_integral_rep(b, p)
+        assert res.converged is True
+        assert abs(res.value - eval_direct(b, p)) <= res.error_estimate
+
 
 class TestDomainSweepPoints:
     # points of the seeded 600-point domain sweep (scripts/domain_sweep.py)
@@ -308,14 +328,15 @@ class TestOffAxis:
 class TestConvergenceReporting:
     def test_near_axis_stall_cost_pinned(self):
         # rho = 0.05 beats over ~7000 half-periods, where half-period cells
-        # share a sign; the ray quadrature converges on 288 K15 panels of
-        # the half line.  A count, unlike a time, pins the cost on any host
+        # share a sign; the ray quadrature converges on one Clenshaw-Curtis
+        # panel of 897 nodes on [0, a] and 28 K15 panels on its two rays.
+        # A count, unlike a time, pins the cost on any host
         b = BeamParams(omega=3.0, cos_theta=0.7)
         p = FieldPoint(z=3.0, rho=0.05, t=0.0)
         res = eval_integral_rep(b, p)
         assert res.converged is True
         assert abs(res.value - eval_direct(b, p)) <= 1e-12
-        assert res.n_evals == 4320
+        assert res.n_evals == 1317
 
     def test_beat_past_budget_costs_nothing(self):
         # 1 - cos_eta ~ 5e-15: the real saddle lies near lambda = 1e7, so
@@ -323,6 +344,28 @@ class TestConvergenceReporting:
         # 640 * 15360; the route says so before evaluating anything
         b = BeamParams(omega=1.0, cos_theta=0.0)
         res = eval_integral_rep(b, FieldPoint(z=1.0, rho=1e-7, t=0.0))
+        assert res.converged is False
+        assert res.n_evals == 0
+
+    def test_long_segment_within_budget_converges(self):
+        # mu = 5.7e6: the segment [0, a], a = 1.6e6, takes 2,190,573
+        # Clenshaw-Curtis nodes, and the rays fit in what is left of the
+        # 9,830,400-node budget
+        b = BeamParams(omega=1.5e6, cos_theta=0.0)
+        p = FieldPoint(z=1.0, rho=3.7, t=0.0)
+        res = eval_integral_rep(b, p)
+        assert res.converged is True
+        assert abs(res.value - eval_direct(b, p)) <= res.error_estimate
+
+    def test_overflowed_segment_refused(self):
+        # omega = 1e160 on the plane z = 0: mu + pi passes 640 pi, so the
+        # point takes the rays, where beta^2 overflows and
+        # a = 0 * inf + pi is NaN.  It is refused before any evaluation and
+        # without a warning (the cells overflowed in the chord)
+        b = BeamParams(omega=1e160, cos_theta=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = eval_integral_rep(b, FieldPoint(z=0.0, rho=1.0, t=0.0))
         assert res.converged is False
         assert res.n_evals == 0
 
@@ -335,19 +378,21 @@ class TestConvergenceReporting:
         assert res.converged is False
 
     def test_ray_layout_past_budget_flags_not_raises(self):
-        # 1 - |cos eta| = 0.22 takes the rays; at mu = 2561 their segment
-        # on the half line alone needs about 22800 nodes, past the budget
-        # of 1 * 15360, so the route says so before evaluating anything
-        b = BeamParams(omega=2000.0, cos_theta=0.6)
+        # 1 - |cos eta| = 0.22 takes the rays; at mu = 12,806 their segment
+        # on the half line alone needs more than 25,000 nodes, past the
+        # budget of 1 * 15360, so the route says so before evaluating
+        # anything
+        b = BeamParams(omega=10000.0, cos_theta=0.6)
         p = FieldPoint(1.0, 0.8, 0.0)
         res = eval_integral_rep(b, p, max_cell_pairs=1)
         assert res.converged is False
         assert res.n_evals == 0
 
     def test_refused_ray_layout_stops_early(self, monkeypatch):
-        # omega = 1.5e6: 2283 panels are left after the segment, and the
-        # down ray alone would take 69,402 before the refusal.  Each ray
-        # stops as soon as it passes what is left
+        # omega = 1.5e6 within 150 cell pairs, 2,304,000 nodes: 7561 K15
+        # panels are left after the segment's 2,190,573 nodes, and the down
+        # ray alone would take 69,401 before the refusal.  Each ray stops
+        # as soon as it passes what is left
         panels = []
         edges = oscquad._ray_edges
 
@@ -360,11 +405,11 @@ class TestConvergenceReporting:
         b = BeamParams(omega=1.5e6, cos_theta=0.0)
         p = FieldPoint(z=1.0, rho=3.7, t=0.0)
         t0 = time.perf_counter()
-        res = eval_integral_rep(b, p)
+        res = eval_integral_rep(b, p, max_cell_pairs=150)
         assert time.perf_counter() - t0 < 0.05
         assert res.converged is False
         assert res.n_evals == 0
-        assert sum(panels) <= 2283 + 1
+        assert sum(panels) <= 7561 + 1
 
     def test_ray_limit_keeps_accepted_layouts(self):
         # a limit at or past a ray's own panel count changes no edge; one
@@ -448,7 +493,7 @@ class TestReadmeRow:
 
     def test_grid_work_pinned(self, monkeypatch):
         # the whole README integral map, 61 x 41 points: 2014 take the
-        # rays, each with two ray layouts, and the route takes 1,850,040
+        # rays, each with two ray layouts, and the route takes 1,629,142
         # integrand evaluations.  A count, unlike a time, pins the cost on
         # any host
         calls = []
@@ -468,7 +513,7 @@ class TestReadmeRow:
                 assert res.converged is True
                 n_evals += res.n_evals
         assert len(calls) == 4028
-        assert n_evals == 1850040
+        assert n_evals == 1629142
 
     def test_rows_z_minus1_0_1_bit_for_bit(self, tmp_path):
         # the README integral map's rows z = -1, 0 and 1, as
@@ -482,7 +527,7 @@ class TestReadmeRow:
                      "--z-steps", "3", "--rho-min", "0", "--rho-max", "4",
                      "--rho-steps", "41", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "303364042bba3481a93fdf5579c483d37b39ad26b8ddacdeb1e8f3d274bca590")
+            "cbdf35e1250da728431042798f24374794b92d8d8b1be23de5357faced8be96b")
 
 
 class TestClaimAgainstMpmath:

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from beamkit.oscquad import (_BATCH_NODES, QuadratureResult, _Epsilon,
-                             _cc_rule, _segment_and_rays, integrate_finite,
-                             integrate_oscillatory_infinite,
+from beamkit.oscquad import (_BATCH_NODES, _PANEL_BAND, QuadratureResult,
+                             _Epsilon, _cc_rule, _segment_and_rays,
+                             integrate_finite, integrate_oscillatory_infinite,
                              regularized_j0_fourier)
 from beamkit.specfun import bessel_j0, spherical_jn
 
@@ -494,6 +494,49 @@ class TestSegmentAndRays:
         assert abs(res.value - exact) <= res.error_estimate
         assert min(u.min() for u in args) >= 0.0
         assert max(u.max() for u in args) <= 2.0 * math.pi
+
+    @pytest.mark.parametrize("a,c,beta2", [
+        (12.0, 0.6, 64.0), (4472.0, 0.001, 4e4), (3000.0, -0.95, 1e6),
+        (20000.0, 0.5, 9.0)])
+    def test_panel_claims_bound_twice_the_size(self, a, c, beta2):
+        # [0, a] is cut into the fewest equal panels of bandwidth
+        # (1 + |c|) width / 2 up to _PANEL_BAND, each on the nodes of the
+        # Clenshaw-Curtis rule of size 2n, n a multiple of 8 past 1.1 times
+        # that bandwidth plus 16.  A panel's claim, its distance to the rule
+        # of size n, bounds its distance to the rule of size 4n, up to the
+        # rounding floor that the segment adds for it
+        calls = []
+
+        def f(u):
+            calls.append(u.copy())
+            r = np.sqrt(u * u + beta2)
+            return np.sin(r) / r
+
+        res = _segment_and_rays(f, lambda z, rate_s: np.zeros_like(z), a,
+                                0.0, c, 1.0 - abs(c), beta2, 1.0, 1.0,
+                                1 << 24)
+        u = np.concatenate(calls)
+        panels = math.ceil(0.5 * (1.0 + abs(c)) * a / _PANEL_BAND)
+        width = a / panels
+        n = (u.size // panels - 1) // 2
+        assert n % 8 == 0 and n >= 1.1 * 0.5 * (1.0 + abs(c)) * width + 16
+        u = u.reshape(panels, 2 * n + 1)
+        starts = width * np.arange(panels)[:, None]
+
+        def rule(size):
+            nodes, weights, _ = _cc_rule(size)
+            x = starts + 0.5 * width * (1.0 + nodes)
+            return x, f(x) * np.exp(1j * c * x), 0.5 * width * weights
+
+        x, fx, w = rule(n)
+        assert np.allclose(u, x, rtol=0.0, atol=4e-16 * a)
+        value = fx @ w
+        claim = np.abs(fx[:, ::2] @ (0.5 * width * _cc_rule(n)[2]) - value)
+        floor = 2.2e-16 * (1.0 + starts[:, 0] + width) * (np.abs(fx) @ w)
+        x, fx, w = rule(2 * n)
+        assert np.all(np.abs(value - fx @ w) <= claim + floor)
+        assert res.converged is True
+        assert res.error_estimate >= 2.0 * claim.sum()
 
 
 class TestTinyIntegrand:

@@ -36,7 +36,7 @@ def test_every_module_is_listed():
 @pytest.mark.parametrize("name", [
     "eval_direct_dispersive", "eval_series_dispersive",
     "eval_integral_rep_dispersive", "LegendreSpectrum", "RealSequence",
-    "KernelArgs", "compute_R", "_check_cell_budget"])
+    "KernelArgs", "compute_R", "_check_cell_budget", "_GRID"])
 def test_deleted_names_stay_gone(name):
     # one way to call each route (medium=) and plain array sequences
     for mod in MODULES:

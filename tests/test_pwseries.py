@@ -156,6 +156,19 @@ class TestEvalSeries:
         assert res.n_terms == HARD_CAP + 1
         assert elapsed < 1.0
 
+    def test_sum_at_hard_cap_flagged_whatever_its_tail(self):
+        # omega*r = 9.5e11: truncation_order's base lies past the cap, which
+        # clips it to HARD_CAP, and the last two terms fall like 1/(omega r)
+        # to 5.3e-13, under tol.  The sum is the whole field (1.1e-6) off,
+        # and flagged
+        b = BeamParams(omega=1e12, cos_theta=0.8)
+        p = FieldPoint(z=0.3, rho=0.9, t=0.0)
+        res = eval_series(b, p)
+        assert res.n_terms == HARD_CAP + 1
+        assert res.tail_estimate <= 1e-12
+        assert abs(res.value - eval_direct(b, p)) > 1e-7
+        assert res.converged is False
+
     @pytest.mark.parametrize("tol", [float("nan"), 1e-323])
     def test_refuses_tol_without_target(self, tol):
         with pytest.raises(ValueError, match="tol"):
