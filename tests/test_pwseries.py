@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from beamkit import pwseries
+from beamkit import pwseries, specfun
 from beamkit.beamcore import BeamParams, FieldPoint, cauchy, constant, vacuum
 from beamkit.beamcore import eval_direct
 from beamkit.cli import main
 from beamkit.pwseries import (HARD_CAP, SeriesResult, eval_series,
                               truncation_order)
-from beamkit.specfun import legendre_p_sequence
+from beamkit.specfun import legendre_p_sequence, spherical_jn_sequence
 
 _finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -42,14 +42,13 @@ class TestTruncationOrder:
     @pytest.mark.parametrize("x", [0.0, 1e-3, 0.5, 7.0, 50.0, 300.0, 1000.0])
     def test_first_order_below_target(self, x, tol):
         # the returned order is the first one at or above the base whose
-        # |j_n| drops under 0.01*tol
-        from beamkit.specfun import spherical_jn_sequence
+        # |j_n| drops under 0.01*tol, or the one after it: the Debye bound
+        # lies a little above |j_n|
         n = truncation_order(x, tol)
-        base = max(10, int(np.ceil(x + 4.0 * x ** (1.0 / 3.0) + 10.0)))
         vals = np.abs(spherical_jn_sequence(n, x))
-        assert n >= base
+        assert n >= _base(x)
         assert vals[n] < 0.01 * tol
-        assert np.all(vals[base:n] >= 0.01 * tol)
+        assert np.all(vals[_base(x):n - 1] >= 0.01 * tol)
 
     @pytest.mark.parametrize("tol", [float("nan"), 1e-323])
     def test_refuses_tol_without_target(self, tol):
@@ -59,14 +58,97 @@ class TestTruncationOrder:
             truncation_order(1.0, tol)
 
     def test_tiny_tol_still_works(self):
-        assert truncation_order(1.0, 1e-300) == 147
+        # j_147(1) = 2.36e-302 (40-digit mpmath) lies above the 1e-302
+        # target, and j_148(1) = 7.95e-305 under it.  A j_n table flushes
+        # every entry under 1e-300 to zero, so a scan of it cut at 147
+        assert truncation_order(1.0, 1e-300) == 148
+
+    def test_builds_no_jn_table(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("truncation_order built a j_n table")
+
+        for name in ("spherical_jn_sequence", "_sph_sequence_miller",
+                     "_sph_sequence_tiny", "_sph_sequence_upward"):
+            monkeypatch.setattr(specfun, name, refuse)
+        monkeypatch.setattr(pwseries, "spherical_jn_sequence", refuse)
+        for x in (1e-8, 1.0, 50.0, 4000.0):
+            assert isinstance(truncation_order(x, 1e-12), int)
+
+    def test_never_under_the_scan_and_at_most_one_past_it(self):
+        # the scan the bound replaced, rebuilt from the j_n table, is the
+        # oracle: seeded (x, tol) over the range the routes use.  The order
+        # is the first whose bound lies under the target
+        rng = np.random.default_rng(3201)
+        xs = 10.0 ** rng.uniform(-3.0, 3.6, 2000)
+        tols = 10.0 ** rng.uniform(-14.0, -4.0, 2000)
+        for x, tol in zip(xs.tolist(), tols.tolist()):
+            n = truncation_order(x, tol)
+            scan = _scan_order(x, tol)
+            assert scan <= n <= scan + 1, (x, tol, n, scan)
+            assert abs(spherical_jn_sequence(n, x)[n]) < 0.01 * tol
+            log_target = math.log(0.01 * tol)
+            assert pwseries._log_jn_bound(n, x)[0] < log_target
+            assert n == _base(x) or \
+                pwseries._log_jn_bound(n - 1, x)[0] >= log_target
+
+    def test_sharp_bound_never_under_jn(self):
+        # the leading Debye term against the j_n table at orders x .. x+60
+        rng = np.random.default_rng(3202)
+        for x in (10.0 ** rng.uniform(-3.0, 3.6, 1000)).tolist():
+            hi = int(x) + 60
+            vals = np.abs(spherical_jn_sequence(hi, x))
+            for n in range(math.ceil(x), hi + 1):
+                if vals[n] > 0.0:
+                    assert math.log(vals[n]) <= pwseries._log_jn_bound(n, x)[0]
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-300])
+    @pytest.mark.parametrize("x", [5e-324, 1e-300, 1.2e-232,
+                                   specfun._TINY_ARG * (1 - 2 ** -52),
+                                   specfun._TINY_ARG,
+                                   specfun._TINY_ARG * (1 + 2 ** -52)])
+    def test_tiny_arguments(self, x, tol):
+        # below and just above _TINY_ARG, j_n(x) = x^n / (2n+1)!! to double
+        # precision, so log|j_n| is exact in closed form; the order is the
+        # first under the target or the one after it, and the walk's logs
+        # survive a tanh alpha that rounds to 1
+        def log_jn(n):
+            return n * math.log(x) - (math.lgamma(2 * n + 2)
+                                      - n * math.log(2.0)
+                                      - math.lgamma(n + 1))
+
+        n = truncation_order(x, tol)
+        first = next(k for k in range(_base(x), HARD_CAP)
+                     if log_jn(k) < math.log(0.01 * tol))
+        assert first <= n <= first + 1
+
+    def test_origin_returns_the_base(self):
+        assert truncation_order(0.0) == 10
+        assert truncation_order(0.0, 1e-300) == 10
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-12, 1e-300])
+    def test_base_past_hard_cap(self, tol):
+        # a base at or past the cap is clipped to HARD_CAP, which
+        # _series_sum flags (test_sum_at_hard_cap_flagged_whatever_its_tail)
+        assert _base(1e12) > HARD_CAP
+        assert truncation_order(1e12, tol) == HARD_CAP
+        assert truncation_order(4990.0, tol) == HARD_CAP
+
+    def test_tiny_tol_at_large_argument_in_bounded_time(self):
+        # no order under 1e-302 before the cap at x = 4000: the walk reads
+        # every order from the base up to HARD_CAP
+        elapsed = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            n = truncation_order(4000.0, 1e-300)
+            elapsed.append(time.perf_counter() - t0)
+        assert n == HARD_CAP
+        assert min(elapsed) < 0.05
 
     def test_orders_frozen_on_seeded_draws(self):
-        # the first table the scan reads ends min(60, 8 + 4 x^(1/3)) orders
-        # past the base, and tables 60, 120, ... past it follow; orders
-        # frozen from the scan that started at 60 past the base.  Half the
-        # tolerances are everyday ones (the cut mostly falls in the first
-        # table), half reach 1e-300 (mostly in a later one, or at HARD_CAP)
+        # orders frozen from the scan of j_n tables 60, 120, ... past the
+        # base that truncation_order ran before it took the Debye bound,
+        # which gives every one of them.  Half the tolerances are everyday
+        # ones, half reach 1e-300 (orders far past the base, or HARD_CAP)
         rng = np.random.default_rng(1980)
         xs = 10.0 ** rng.uniform(-3.0, np.log10(4990.0), 300)
         tols = 10.0 ** np.concatenate([rng.uniform(-16.0, -6.0, 150),
@@ -96,6 +178,24 @@ class TestTruncationOrder:
         got = [truncation_order(float(x), float(tol))
                for x, tol in zip(xs, tols)]
         assert got == frozen
+
+
+def _base(x):
+    return max(10, math.ceil(x + 4.0 * x ** (1.0 / 3.0) + 10.0))
+
+
+def _scan_order(x, tol):
+    # the first order at or past the base whose tabulated |j_n| lies under
+    # 0.01*tol, on tables 60, 120, ... orders past the base
+    base = _base(x)
+    hi = base
+    while hi < HARD_CAP:
+        hi = min(hi + 60, HARD_CAP)
+        vals = np.abs(spherical_jn_sequence(hi, x))
+        below = np.flatnonzero(vals[base:] < 0.01 * tol)
+        if below.size:
+            return base + int(below[0])
+    return HARD_CAP
 
 
 class TestEvalSeries:
