@@ -5,8 +5,9 @@ in units with c = 1, is
 
     Phi(rho, z, t) = exp(i*omega*cos(theta)*z - i*omega*t) * J_0(omega*sin(theta)*rho)
 
-All wave vectors live on the cone k_z = omega*cos(theta),
-k_rho = omega*sin(theta); sin(theta) is always the nonnegative root.
+All wave vectors live on the cone k_z = n omega cos(theta),
+k_rho = n omega sin(theta), n = n(omega) the medium's index;
+sin(theta) is always the nonnegative root.
 
 Every sine taken from a cosine goes through ``_sin2``: sin is
 sqrt((1 - c)(1 + c)), never sqrt(1 - c*c).  Rounding c*c costs up to
@@ -14,7 +15,8 @@ eps / (2 (1 - |c|)) of relative accuracy in sin^2, which near the poles
 |c| = 1 outgrows the tolerances the routes are judged by.  The factor
 1 - |c| is exact for |c| >= 1/2 (Sterbenz), so the product keeps sin^2 to
 a few ulps at every c.  (The integral route's sin eta comes from the gap
-1 - |cos eta|, which it forms from rho and r without a cosine.)
+1 - |cos eta|, which ``to_spherical`` forms from rho and r without a
+cosine.)
 """
 from __future__ import annotations
 
@@ -72,14 +74,16 @@ class SphericalView:
 
     r = sqrt(z^2 + rho^2), cos_eta = z/r, cos_gamma = t/r.  cos_gamma is
     deliberately unbounded (|t| > r is a real regime; support predicates
-    deal with it).  At the origin r = 0 both cosines are set by convention
-    and ``degenerate`` is raised.
+    deal with it).  ``gap`` is 1 - |cos_eta|, formed without cancellation
+    as (rho/r) (rho/(r + |z|)): at z = 1, rho = 1e-9 it is 5e-19, where
+    1 - z/r rounds to 0.  On the axis it is 0.0.  At the origin r = 0
+    both cosines are set by convention, (1, 0), and the gap is 0.0.
     """
 
     r: float
     cos_eta: float
     cos_gamma: float
-    degenerate: bool = False
+    gap: float
 
 
 @dataclass(frozen=True)
@@ -97,14 +101,6 @@ class BeamParams:
     @property
     def sin_theta(self) -> float:
         return math.sqrt(_sin2(self.cos_theta))
-
-    @property
-    def k_z(self) -> float:
-        return self.omega * self.cos_theta
-
-    @property
-    def k_rho(self) -> float:
-        return self.omega * self.sin_theta
 
 
 class DispersionModel:
@@ -157,8 +153,9 @@ def to_spherical(p: FieldPoint) -> SphericalView:
     """Spherical view of a field point; origin gets the (1, 0) convention."""
     r = float(np.hypot(p.z, p.rho))
     if r == 0.0:
-        return SphericalView(r=0.0, cos_eta=1.0, cos_gamma=0.0, degenerate=True)
-    return SphericalView(r=r, cos_eta=p.z / r, cos_gamma=p.t / r)
+        return SphericalView(r=0.0, cos_eta=1.0, cos_gamma=0.0, gap=0.0)
+    return SphericalView(r=r, cos_eta=p.z / r, cos_gamma=p.t / r,
+                         gap=(p.rho / r) * (p.rho / (r + abs(p.z))))
 
 
 def eval_direct(b: BeamParams, p: FieldPoint, *,

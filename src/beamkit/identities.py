@@ -310,7 +310,7 @@ def legendre_ft_pair(n: int, beta: float, tol: float = 1e-8) -> IdentityReport:
 
     def ray_part(z, rate_s):
         # half of h_n^(1), times i from dlam, up its ray
-        return (0.5 * (-1j) ** n * np.exp(-rate_s) / z
+        return (0.5 * _I_POWERS[-n % 4] * np.exp(-rate_s) / z
                 * np.polyval(b, 1j * big_l / z))
 
     # the rays follow the Debye chord sqrt(z^2 - (n + 1/2)^2) of h_n

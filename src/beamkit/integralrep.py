@@ -14,14 +14,14 @@ no zero to mask.  The engine is handed the real factor j_0(R) and the
 carrier frequency cos eta: it folds exp(i*lambda*cos eta) into its cell
 weights, so no complex exponential is evaluated per node.
 
-The integrand beats at delta = 1 - |cos eta|, computed as
-rho^2 / (r (r + |z|)).  Where 2 * delta < 1 the beat 2 pi / delta is more
-than twice the period, so the engine's half-period cells do not alternate
-and its accelerator stalls.  Every point with delta < 3/4 takes
-``oscquad._segment_and_rays`` instead (the steepest-descent idea of
-Huybrechs and Vandewalle, SIAM J. Numer. Anal. 44, 2006).  j_0 of the
-chord is even in u = lambda - m, so the integral is
-e^{i m cos eta} (Z + conj(Z)) with Z over the half line u >= 0 alone:
+The integrand beats at delta = 1 - |cos eta|, the gap that
+``to_spherical`` forms as (rho/r) (rho/(r + |z|)).  Where 2 * delta < 1
+the beat 2 pi / delta is more than twice the period, so the engine's
+half-period cells do not alternate and its accelerator stalls.  Every
+point with delta < 3/4 takes ``oscquad._segment_and_rays`` instead (the
+steepest-descent idea of Huybrechs and Vandewalle, SIAM J. Numer. Anal.
+44, 2006).  j_0 of the chord is even in u = lambda - m, so the integral
+is e^{i m cos eta} (Z + conj(Z)) with Z over the half line u >= 0 alone:
 Clenshaw-Curtis panels on [0, a], a = |cos eta| beta / sin eta + pi just
 past both real saddles u = +-|cos eta| beta / sin eta, and the two parts
 e^{+-iR} / (2iR) of the one tail up and down vertical rays, where they
@@ -38,9 +38,11 @@ On the axis (|cos eta| = 1) the symmetric limit of the lambda-integral is
 exactly half the field: j_n under the integral is the Fourier transform of
 a function supported on [-1, 1], and at |beta| = 1 a Fourier inversion
 lands on the edge of that support, where the symmetric limit takes the
-Dirichlet midpoint value.  The axis is therefore evaluated analytically
-(the direct closed form, which is the continuous extension from cos eta
-inside the open interval), exactly as the origin already is.
+Dirichlet midpoint value.  So the origin (mu = 0) and every point whose
+z/r rounds to +-1 (rho/|z| under about 1.5e-8) are analytic: they return
+``eval_direct``, e^{i(n omega cos theta z - omega t)} J_0(n omega sin theta
+rho) with its J_0 factor, the continuous extension from cos eta inside
+the open interval, with converged=True and n_evals = 0.
 """
 from __future__ import annotations
 
@@ -49,7 +51,7 @@ import math
 import numpy as np
 
 from .beamcore import (_VACUUM, BeamParams, DispersionModel, FieldPoint,
-                       _sin2, to_spherical)
+                       _sin2, eval_direct, to_spherical)
 from .oscquad import (QuadratureResult, _segment_and_rays,
                       integrate_oscillatory_infinite)
 from .specfun import _as_order, _sph_j0
@@ -140,8 +142,9 @@ def eval_integral_rep(b: BeamParams, p: FieldPoint, tol: float = 1e-9,
     conjugation (the spatial integrand depends on omega only through
     mu = |omega|*r).  A medium enters only through
     mu = n(omega)*|omega|*r.  Non-convergence is reported through the
-    flag, never raised.  ``tol`` and ``max_cell_pairs`` are checked at every
-    point, the analytic origin and axis included.  Where
+    flag, never raised.  The origin and every point whose z/r rounds to
+    +-1 return ``eval_direct``'s value.  ``tol`` and ``max_cell_pairs`` are
+    checked at every point, these analytic ones included.  Where
     ``1 - |cos eta| < 3/4`` or ``mu + pi >= pi * max_cell_pairs`` (the ray
     quadrature) ``max_cell_pairs`` is a budget of
     ``max_cell_pairs * 15360`` nodes.
@@ -154,23 +157,17 @@ def eval_integral_rep(b: BeamParams, p: FieldPoint, tol: float = 1e-9,
     if not (math.isfinite(mu) and math.isfinite(b.omega * p.t)):
         raise ValueError(f"mu = {mu!r} or omega*t = {b.omega * p.t!r} "
                          "is not finite")
-    tfac = complex(np.exp(-1j * b.omega * p.t))
     if mu == 0.0 or abs(sph.cos_eta) == 1.0:
-        # origin and axis are analytic.  On the axis the raw symmetric
-        # limit of the integral is exactly half the field (Dirichlet
-        # midpoint at the support edge of the Fourier pair); the value
-        # used is the continuous extension from |cos_eta| < 1, which is
-        # the direct plane-phase field.
-        phase = np.sign(b.omega) * mu * b.cos_theta * sph.cos_eta
-        return QuadratureResult(value=complex(np.exp(1j * phase) * tfac),
+        # the origin, and every point whose z/r rounds to +-1, take the
+        # closed form, J_0 included (module docstring)
+        return QuadratureResult(value=eval_direct(b, p, medium=medium),
                                 error_estimate=0.0, n_evals=0, converged=True)
-    # 1 - |cos_eta| without cancellation
-    delta = (p.rho / sph.r) * (p.rho / (sph.r + abs(p.z)))
-    res = _rep_integral(mu, b.cos_theta, sph.cos_eta, delta, tol,
+    res = _rep_integral(mu, b.cos_theta, sph.cos_eta, sph.gap, tol,
                         max_cell_pairs)
     value = res.value
     if b.omega < 0:
         value = value.conjugate()
+    tfac = complex(np.exp(-1j * b.omega * p.t))
     return QuadratureResult(value=complex(value * tfac),
                             error_estimate=res.error_estimate,
                             n_evals=res.n_evals, converged=res.converged)

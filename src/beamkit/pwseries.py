@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beamcore import (_VACUUM, BeamParams, DispersionModel, FieldPoint,
-                       to_spherical)
+                       eval_direct, to_spherical)
 from .specfun import legendre_p_sequence, spherical_jn_sequence
 
 __all__ = [
@@ -169,7 +169,8 @@ def eval_series(b: BeamParams, p: FieldPoint, tol: float = 1e-12, *,
     """Partial-wave series field at one point.
 
     The origin is analytic (every j_n(0) vanishes except n = 0 and the
-    Legendre factors collapse): exp(-i*omega*t) with zero terms reported.
+    Legendre factors collapse): ``eval_direct``'s value, exp(-i*omega*t),
+    with zero terms reported.
     Negative omega routes through the positive-frequency sum with i^n -> (-i)^n,
     which is just the conjugate of the spatial part.  A medium rescales
     only the spherical-Bessel argument to n(omega)*|omega|*r; Legendre and
@@ -179,11 +180,11 @@ def eval_series(b: BeamParams, p: FieldPoint, tol: float = 1e-12, *,
     mu = medium.evaluate(b.omega) * abs(b.omega) * sph.r
     if not math.isfinite(b.omega * p.t):
         raise ValueError(f"omega*t is not finite: {b.omega * p.t!r}")
-    tfac = np.exp(-1j * b.omega * p.t)
     if mu == 0.0:
-        return SeriesResult(value=complex(tfac), n_terms=0, tail_estimate=0.0)
+        return SeriesResult(value=eval_direct(b, p, medium=medium),
+                            n_terms=0, tail_estimate=0.0)
     value, n_terms, tail, ok = _series_sum(mu, b.cos_theta, sph.cos_eta, tol)
     if b.omega < 0:
         value = value.conjugate()
-    return SeriesResult(value=complex(value * tfac), n_terms=n_terms,
-                        tail_estimate=tail, converged=ok)
+    return SeriesResult(value=complex(value * np.exp(-1j * b.omega * p.t)),
+                        n_terms=n_terms, tail_estimate=tail, converged=ok)

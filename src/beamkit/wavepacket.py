@@ -70,14 +70,6 @@ class ConeAngles:
         if math.isnan(self.cos_gamma):
             raise ValueError("cos_gamma is NaN")
 
-    @property
-    def sin_theta(self) -> float:
-        return math.sqrt(_sin2(self.cos_theta))
-
-    @property
-    def sin_eta(self) -> float:
-        return math.sqrt(_sin2(self.cos_eta))
-
 
 def _support_radicand(a: ConeAngles) -> float:
     d = a.cos_eta * a.cos_theta - a.cos_gamma
@@ -85,8 +77,10 @@ def _support_radicand(a: ConeAngles) -> float:
 
 
 def support_predicate(a: ConeAngles) -> bool:
-    """True iff sin(eta)*sin(theta) > |cos(eta)*cos(theta) - cos(gamma)| strictly."""
-    return a.sin_eta * a.sin_theta > abs(a.cos_eta * a.cos_theta - a.cos_gamma)
+    """True iff sin(eta)*sin(theta) > |cos(eta)*cos(theta) - cos(gamma)|
+    strictly, read as the radicand sin^2 sin^2 - (cos cos - cos)^2 > 0
+    that ``triple_sum_closed_form`` takes its side from."""
+    return _support_radicand(a) > 0
 
 
 def _xwave_ab(cos_theta: float, p: FieldPoint) -> tuple[float, float]:

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from beamkit.beamcore import (BeamParams, FieldPoint, _sin2, cauchy,
                               constant, eval_direct, to_spherical, vacuum)
 from beamkit.cli import main
-from beamkit.wavepacket import ConeAngles, _xwave_ab
+from beamkit.wavepacket import ConeAngles, _support_radicand, _xwave_ab
 
 _finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -36,14 +36,34 @@ class TestSphericalView:
         assert sph.r == pytest.approx(5.0, rel=1e-15)
         assert sph.cos_eta == pytest.approx(0.6, rel=1e-15)
         assert sph.cos_gamma == pytest.approx(0.5, rel=1e-15)
-        assert not sph.degenerate
+        assert sph.gap == pytest.approx(0.4, rel=1e-15)
 
     def test_origin_convention(self):
         sph = to_spherical(FieldPoint(z=0.0, rho=0.0, t=1.0))
-        assert sph.degenerate
         assert sph.r == 0.0
         assert sph.cos_eta == 1.0
         assert sph.cos_gamma == 0.0
+        assert sph.gap == 0.0
+
+    @pytest.mark.parametrize("z", [2.5, -0.3, 1e-300])
+    def test_gap_zero_on_the_axis(self, z):
+        sph = to_spherical(FieldPoint(z=z, rho=0.0, t=0.0))
+        assert abs(sph.cos_eta) == 1.0
+        assert sph.gap == 0.0
+
+    @pytest.mark.parametrize("z,rho", [(3.0, 4.0), (-1.0, 1e-4), (0.0, 2.0),
+                                       (1.0, 1.4e-8), (-3.0, 0.7)])
+    def test_gap_formula_off_the_axis(self, z, rho):
+        # the one home of 1 - |cos eta|: (rho/r) (rho/(r + |z|)), bit for
+        # bit, which the integral route reads
+        sph = to_spherical(FieldPoint(z=z, rho=rho, t=0.0))
+        assert sph.gap == (rho / sph.r) * (rho / (sph.r + abs(z)))
+        assert sph.gap == pytest.approx(1.0 - abs(sph.cos_eta), abs=4e-16)
+
+    def test_gap_survives_where_the_cosine_rounds_to_one(self):
+        sph = to_spherical(FieldPoint(z=1.0, rho=1e-9, t=0.0))
+        assert 1.0 - sph.cos_eta == 0.0
+        assert sph.gap == pytest.approx(5e-19, rel=1e-15)
 
     def test_cos_gamma_unbounded(self):
         # |t| > r is a legitimate regime
@@ -55,8 +75,6 @@ class TestBeamParams:
     def test_derived_wave_numbers(self):
         b = BeamParams(omega=2.0, cos_theta=0.6)
         assert b.sin_theta == pytest.approx(0.8, rel=1e-15)
-        assert b.k_z == pytest.approx(1.2, rel=1e-15)
-        assert b.k_rho == pytest.approx(1.6, rel=1e-15)
 
     def test_sin_theta_nonnegative_root(self):
         assert BeamParams(omega=1.0, cos_theta=-0.6).sin_theta == \
@@ -117,8 +135,9 @@ class TestSinFromCos:
     def test_every_sine_is_the_helper_bit_for_bit(self, c):
         s = math.sqrt(_sin2(c))
         assert BeamParams(omega=1.0, cos_theta=c).sin_theta == s
-        angles = ConeAngles(cos_theta=c, cos_eta=c, cos_gamma=0.0)
-        assert angles.sin_theta == s and angles.sin_eta == s
+        # cos gamma = cos eta cos theta leaves the radicand sin^2 sin^2
+        angles = ConeAngles(cos_theta=c, cos_eta=c, cos_gamma=c * c)
+        assert _support_radicand(angles) == _sin2(c) * _sin2(c)
         assert _xwave_ab(c, FieldPoint(z=0.3, rho=1.7, t=0.0))[0] == s * 1.7
 
     def test_exact_one_ulp_from_the_pole(self):

@@ -200,9 +200,11 @@ def _scan_order(x, tol):
 
 class TestEvalSeries:
     def test_origin_analytic(self):
-        res = eval_series(BeamParams(omega=2.0, cos_theta=0.3),
-                          FieldPoint(z=0.0, rho=0.0, t=0.7))
+        b = BeamParams(omega=2.0, cos_theta=0.3)
+        p = FieldPoint(z=0.0, rho=0.0, t=0.7)
+        res = eval_series(b, p)
         assert res.value == pytest.approx(cmath.exp(-1.4j), abs=1e-15)
+        assert res.value == eval_direct(b, p)
         assert res.n_terms == 0
 
     def test_matches_direct_sample(self):
@@ -306,12 +308,18 @@ class TestEvalSeries:
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 2: near the axis at omega*r about 3600 the series "
-    "returns 5e-10 off eval_direct with converged=True"))
-def test_near_axis_large_omega_r_meets_tol_or_flags():
+    "ROADMAP item 2: near the axis at omega*r in the thousands the series "
+    "sums P_n of a rounded cos eta and returns 3.6e-10 to 5e-10 off "
+    "eval_direct with converged=True"))
+@pytest.mark.parametrize("omega,cos_theta,z,rho,t", [
     # a domain-sweep draw (scripts/domain_sweep.py --n 600), rounded
-    b = BeamParams(omega=841.823, cos_theta=0.206602)
-    p = FieldPoint(z=4.29095, rho=6.05408e-4, t=1.52404)
+    (841.823, 0.206602, 4.29095, 6.05408e-4, 1.52404),
+    # z/r rounds to 1, so the sum takes P_n(1) = 1 for every n
+    (4500.0, 0.8, 1.0, 1.4e-8, 0.0)], ids=["sweep_draw", "rounded_axis"])
+def test_near_axis_large_omega_r_meets_tol_or_flags(omega, cos_theta, z,
+                                                     rho, t):
+    b = BeamParams(omega=omega, cos_theta=cos_theta)
+    p = FieldPoint(z=z, rho=rho, t=t)
     res = eval_series(b, p)
     assert not res.converged or abs(res.value - eval_direct(b, p)) <= 1e-10
 

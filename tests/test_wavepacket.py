@@ -20,8 +20,9 @@ def _angles(ct, ce, cg):
 class TestConeAngles:
     def test_valid(self):
         a = _angles(0.5, -0.5, 0.9)
-        assert a.sin_theta == pytest.approx(math.sqrt(0.75))
-        assert a.sin_eta == pytest.approx(math.sqrt(0.75))
+        assert (a.cos_theta, a.cos_eta, a.cos_gamma) == (0.5, -0.5, 0.9)
+        # sin^2 eta sin^2 theta - (cos eta cos theta - cos gamma)^2
+        assert wp._support_radicand(a) == pytest.approx(0.75 * 0.75 - 1.15 ** 2)
 
     @pytest.mark.parametrize("ct,ce", [(1.5, 0.0), (0.0, -1.0001)])
     def test_cone_cosines_bounded(self, ct, ce):
@@ -68,6 +69,20 @@ class TestSupportPredicate:
         # strict inequality: the branch point itself does not count
         ct, ce = 0.0, 0.0
         assert support_predicate(_angles(ct, ce, 1.0)) is False
+
+    def test_same_side_as_the_closed_form_near_the_boundary(self):
+        # one support test: the predicate reads the radicand that
+        # triple_sum_closed_form and the suite's sampler take their side
+        # from, also within an ulp or so of the boundary, where a product
+        # of two sines and the radicand disagreed on about 3 % of draws
+        rng = np.random.default_rng(1)
+        n = 200_000
+        ct, ce = rng.uniform(-1.0, 1.0, size=(2, n))
+        edge = np.sqrt((1 - ct) * (1 + ct)) * np.sqrt((1 - ce) * (1 + ce))
+        cg = (ce * ct + rng.choice([-1.0, 1.0], size=n) * edge
+              * (1.0 + rng.uniform(-1e-15, 1e-15, size=n)))
+        for a in map(ConeAngles, ct.tolist(), ce.tolist(), cg.tolist()):
+            assert support_predicate(a) is (wp._support_radicand(a) > 0)
 
 
 class TestXwaveClosedForm:
